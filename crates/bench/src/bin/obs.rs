@@ -5,7 +5,7 @@
 //! strings, all dwarfed by the intersection work itself. This binary puts
 //! a number on that claim. It builds the boolean-bench Zipf corpus, replays
 //! an AND-only query stream through a planned `Server` twice — once via
-//! `query_expr` (untraced) and once via `query_expr_traced` — with the
+//! untraced requests and once via `Request::traced` — with the
 //! result cache disabled so every query exercises parse → rewrite → plan →
 //! per-shard exec, and records min-over-reps throughput for both paths.
 //!

@@ -1,7 +1,8 @@
 //! Serving-layer cache benchmark.
 //!
-//! Builds a Zipf corpus, shards it, and replays a Zipf-skewed query
-//! stream through the worker pool twice — cold, then warm — recording
+//! Builds a Zipf corpus, shards it behind a `Server`, and replays a
+//! Zipf-skewed query stream through `Server::execute_batch` twice — cold,
+//! then warm — recording
 //! the result cache's throughput effect and hit rate into
 //! `BENCH_serve.json` (hand-rolled JSON: this environment has no registry
 //! access, so no serde).
@@ -19,7 +20,7 @@
 use fsi_bench::{ms, HarnessArgs};
 use fsi_core::HashContext;
 use fsi_index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fsi_serve::{ExecMode, QueryCache, QueryPool, ShardedEngine};
+use fsi_serve::{BatchResponse, CacheOutcome, ExecMode, Request, ServeConfig, Server};
 use fsi_workloads::stream::{generate_stream, repeat_rate, QueryStreamConfig};
 
 const NUM_SHARDS: usize = 4;
@@ -60,24 +61,32 @@ fn main() {
     // One prepared sharded engine for both passes: only the cache state
     // varies, so the compared runs measure the identical index.
     let engine = SearchEngine::from_corpus(ctx, corpus);
-    let sharded = ShardedEngine::build(&engine, NUM_SHARDS, ExecMode::Fixed(strategy));
-
-    let cache = QueryCache::new(8192, 8);
-    let pool = QueryPool::new(NUM_WORKERS);
-    // Warm-up pass (cache off) settles the allocator before measuring.
-    let _ = pool.run_batch(&sharded, None, &stream[..stream.len() / 4]);
-    let cold = pool.run_batch(&sharded, Some(&cache), &stream);
-    let warm = pool.run_batch(&sharded, Some(&cache), &stream);
-    let cache_stats = cache.stats();
+    let server = Server::new(
+        &engine,
+        ServeConfig {
+            num_shards: NUM_SHARDS,
+            num_workers: NUM_WORKERS,
+            cache_capacity: 8192,
+            mode: ExecMode::Fixed(strategy),
+        },
+    );
+    // Warm-up pass straight on the shards settles the allocator before
+    // measuring and leaves the cache empty for the cold pass.
+    for terms in &stream[..stream.len() / 4] {
+        std::hint::black_box(server.engine().query(terms));
+    }
+    let requests: Vec<Request> = stream.iter().cloned().map(Request::terms).collect();
+    let cold = server.execute_batch(&requests);
+    let warm = server.execute_batch(&requests);
+    let (cold_hits, warm_hits) = (hits(&cold), hits(&warm));
+    let cache_stats = server.cache().stats();
     println!(
-        "cache: cold {:.0} q/s ({:.1} ms, hits {}), warm {:.0} q/s ({:.1} ms, hits {}), \
+        "cache: cold {:.0} q/s ({:.1} ms, hits {cold_hits}), warm {:.0} q/s ({:.1} ms, hits {warm_hits}), \
          hit rate {:.3}",
         cold.throughput_qps,
         ms(cold.wall),
-        cold.cache_hits,
         warm.throughput_qps,
         ms(warm.wall),
-        warm.cache_hits,
         cache_stats.hit_rate()
     );
 
@@ -97,10 +106,23 @@ fn main() {
         strategy.name(),
         cold.throughput_qps,
         warm.throughput_qps,
-        warm.cache_hits,
+        warm_hits,
         cache_stats.hit_rate(),
         cache_stats.evictions,
     );
     args.write_output(&json);
     println!("\nwrote {}", args.out_path);
+}
+
+/// Requests of one batch answered from the result cache; a rejected
+/// request is a bug in the stream generator and stops the run.
+fn hits(batch: &BatchResponse) -> usize {
+    batch
+        .responses
+        .iter()
+        .map(|r| match r {
+            Ok(resp) => usize::from(resp.cache == CacheOutcome::Hit),
+            Err(e) => panic!("stream query rejected: {e}"),
+        })
+        .sum()
 }

@@ -55,9 +55,9 @@ impl From<&ExecMode> for ModeKey {
 /// `fsi_query::encode ∘ normalize`), so a flat `[a, b]` query hits an
 /// entry inserted by the expression `b AND a` and vice versa.
 ///
-/// Keys are derived only inside the crate (from a [`crate::Request`] or a
-/// pool worker) — callers never hand-build them, so the derivation can
-/// evolve without breaking the public API.
+/// Keys are derived only inside the crate (from a [`crate::Request`]) —
+/// callers never hand-build them, so the derivation can evolve without
+/// breaking the public API.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     expr: Box<[u32]>,

@@ -22,30 +22,10 @@ impl ExecMode {
             ExecMode::Planned(_) => "Planned(multiway)".to_string(),
         }
     }
-
-    /// Planner-mode execution with SIMD-tuned cost constants.
-    #[deprecated(since = "0.2.0", note = "use `PlannerProfile::auto().mode()`")]
-    pub fn planned_auto() -> Self {
-        PlannerProfile::auto().mode()
-    }
-
-    /// Planner-mode execution under memory pressure.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PlannerProfile::auto().memory_pressured(..).mode()`"
-    )]
-    pub fn planned_memory_pressured(bytes_per_elem_unit: f64) -> Self {
-        PlannerProfile::auto()
-            .memory_pressured(bytes_per_elem_unit)
-            .mode()
-    }
 }
 
 /// A builder for planner-dispatched execution modes — the one place the
-/// serving stack derives a [`Planner`] from operator intent, replacing the
-/// old `ExecMode::planned_auto()` / `planned_memory_pressured(..)`
-/// constructor sprawl (one constructor per knob combination did not
-/// scale).
+/// serving stack derives a [`Planner`] from operator intent.
 ///
 /// ```
 /// use fsi_serve::{PlannerProfile, ServeConfig};
@@ -119,9 +99,6 @@ pub struct ServeConfig {
     pub num_workers: usize,
     /// Total result-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Number of independently locked cache segments (≥ 1); higher values
-    /// reduce lock contention under concurrent batches.
-    pub cache_segments: usize,
     /// Physical execution mode.
     pub mode: ExecMode,
 }
@@ -132,7 +109,6 @@ impl Default for ServeConfig {
             num_shards: 4,
             num_workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             cache_capacity: 4096,
-            cache_segments: 8,
             // Whole-query cost-model planning with constants tuned for the
             // SIMD tier this process dispatches to. Fix a strategy (e.g.
             // the paper's `Strategy::RanGroupScan { m: 2 }`) to pin one
@@ -147,7 +123,6 @@ impl ServeConfig {
     pub fn normalized(mut self) -> Self {
         self.num_shards = self.num_shards.max(1);
         self.num_workers = self.num_workers.max(1);
-        self.cache_segments = self.cache_segments.max(1);
         self
     }
 
@@ -167,7 +142,6 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.num_shards >= 1);
         assert!(c.num_workers >= 1);
-        assert!(c.cache_segments >= 1);
     }
 
     #[test]
@@ -175,11 +149,10 @@ mod tests {
         let c = ServeConfig {
             num_shards: 0,
             num_workers: 0,
-            cache_segments: 0,
             ..ServeConfig::default()
         }
         .normalized();
-        assert_eq!((c.num_shards, c.num_workers, c.cache_segments), (1, 1, 1));
+        assert_eq!((c.num_shards, c.num_workers), (1, 1));
     }
 
     #[test]
@@ -200,28 +173,6 @@ mod tests {
         assert_eq!(p.gallop_unit, auto.gallop_unit);
         assert_eq!(p.bitmap_word_unit, auto.bitmap_word_unit);
         assert_eq!(p.decode_unit, auto.decode_unit);
-    }
-
-    #[test]
-    fn deprecated_mode_constructors_match_profiles() {
-        #[allow(deprecated)]
-        let (old_auto, old_pressured) = (
-            ExecMode::planned_auto(),
-            ExecMode::planned_memory_pressured(2.5),
-        );
-        for (old, new) in [
-            (old_auto, PlannerProfile::auto().mode()),
-            (
-                old_pressured,
-                PlannerProfile::auto().memory_pressured(2.5).mode(),
-            ),
-        ] {
-            let (ExecMode::Planned(a), ExecMode::Planned(b)) = (old, new) else {
-                panic!("planned modes expected");
-            };
-            assert_eq!(a.bytes_unit, b.bytes_unit);
-            assert_eq!(a.gallop_unit, b.gallop_unit);
-        }
     }
 
     #[test]

@@ -24,17 +24,16 @@
 //! * [`shard`] — [`ShardedEngine`]: posting lists partitioned into
 //!   contiguous document-ID ranges, one prepared index per shard; results
 //!   merge by concatenation, so sorted output is free;
-//! * [`pool`] — [`QueryPool`]: scoped-thread batch execution with
-//!   round-robin dealing and work stealing, reporting per-query latency
-//!   order statistics and batch throughput;
+//! * [`pool`] — [`QueryPool`]: the scoped-thread scheduler under
+//!   [`Server::execute_batch`], with round-robin dealing and work stealing;
 //! * [`cache`] — [`QueryCache`]: a segmented LRU over intersection
 //!   results keyed by `(canonical expression encoding, execution mode)`
 //!   with hit/miss/eviction counters — Zipf-skewed query streams (the
 //!   realistic case) hit it hard, and flat conjunctions share the key
 //!   space with every equivalent boolean spelling. Keys are derived
 //!   internally; callers never build a cache key;
-//! * [`config`] / [`stats`] — [`ServeConfig`] admission knobs (shards,
-//!   workers, cache capacity, fixed-[`fsi_index::Strategy`] vs
+//! * [`config`] / [`stats`] — [`ServeConfig`] (shards, workers, cache
+//!   capacity, fixed-[`fsi_index::Strategy`] vs
 //!   [`PlannerProfile`]-derived planner-dispatched execution) and
 //!   [`ServeStats`] snapshots.
 //!
@@ -49,8 +48,9 @@
 //! suite (`tests/serve_differential.rs` at the workspace root). Boolean
 //! expressions are likewise pinned to a naive set-semantics evaluator
 //! across shard counts and planners (`tests/query_differential.rs`), and
-//! the deprecated pre-`execute` methods are pinned byte-identical to their
-//! `execute` equivalents (`tests/execute_differential.rs`).
+//! every input shape under every request option, with the cache on and
+//! off, is pinned on its documents, counters, cache outcome and trace
+//! spans (`tests/execute_paths.rs`).
 //!
 //! ## Quick start
 //!
@@ -90,7 +90,7 @@ pub mod stats;
 
 pub use cache::{CacheStats, InsertOutcome, QueryCache, SegmentCacheStats};
 pub use config::{ExecMode, PlannerProfile, ServeConfig};
-pub use pool::{BatchOutcome, QueryPool};
+pub use pool::QueryPool;
 pub use request::{
     CacheOutcome, Disposition, QueryInput, QueryOptions, Request, Response, ShedReason,
 };

@@ -1,17 +1,13 @@
 //! The request-lifetime serving API: one [`Request`] in, one [`Response`]
 //! out.
 //!
-//! Earlier revisions grew a method per capability on `Server` —
-//! `query`, `query_expr`, `query_norm`, `query_expr_traced`, `explain` —
-//! which meant every new per-request concern (deadlines, tenants, planner
-//! overrides) would have multiplied the surface. [`crate::Server::execute`]
-//! collapses the zoo: a [`Request`] names *what* to answer
-//! ([`QueryInput`]) and *how* ([`QueryOptions`]), and the [`Response`]
-//! carries the documents plus per-request metadata (cache outcome, chosen
-//! plan kind, served/shed disposition, measured latency, optional trace
-//! and `EXPLAIN` rendering). The old methods survive as `#[deprecated]`
-//! delegating shims, pinned byte-identical to `execute` by
-//! `tests/execute_differential.rs`.
+//! [`crate::Server::execute`] is the only way a query is served: a
+//! [`Request`] names *what* to answer ([`QueryInput`]) and *how*
+//! ([`QueryOptions`]), and the [`Response`] carries the documents plus
+//! per-request metadata (cache outcome, chosen plan kind, served/shed
+//! disposition, measured latency, optional trace and `EXPLAIN`
+//! rendering). A new per-request concern is one more option here, not
+//! one more method on the server.
 
 use fsi_core::Elem;
 use fsi_index::Planner;
@@ -34,7 +30,8 @@ pub enum QueryInput {
 }
 
 /// Per-request execution options. Everything defaults off: a default
-/// `QueryOptions` executes exactly like the pre-redesign methods did.
+/// `QueryOptions` serves the query's documents, untraced, under the
+/// engine's own planner, with no deadline and no tenant.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Run this request under a different [`Planner`] than the engine was

@@ -4,7 +4,7 @@
 
 use crate::cache::{CacheKey, ModeKey, QueryCache};
 use crate::config::{ExecMode, ServeConfig};
-use crate::pool::{BatchOutcome, QueryPool};
+use crate::pool::QueryPool;
 use crate::request::{
     flat_to_norm, CacheOutcome, Disposition, QueryInput, Request, Response, ShedReason,
 };
@@ -13,9 +13,7 @@ use crate::stats::{LatencySummary, ServeStats};
 use fsi_core::{Elem, HashContext};
 use fsi_index::{Corpus, SearchEngine};
 use fsi_kernels::SimdLevel;
-use fsi_obs::{
-    Counter, HistSnapshot, Histogram, LabelCap, QueryTrace, Registry, Snapshot, TraceBuilder,
-};
+use fsi_obs::{Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, TraceBuilder};
 use fsi_query::{CompileError, ExplainMode, NormExpr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +87,15 @@ pub struct BatchResponse {
     pub throughput_qps: f64,
 }
 
+/// What a served request evaluates on the shards on a cache miss.
+#[derive(Clone, Copy)]
+enum Work<'a> {
+    /// A flat conjunction, on the shards' multiway path.
+    Terms(&'a [usize]),
+    /// A canonical expression, on the shards' expression path.
+    Expr(&'a NormExpr),
+}
+
 /// A self-contained query-serving engine. [`Server::execute`] is the one
 /// execution entry point; everything a request needs rides on the
 /// [`Request`] it submits.
@@ -138,6 +145,10 @@ impl Server {
     /// tenants beyond the cap share the `other` label.
     pub const TENANT_LABEL_CAP: usize = 64;
 
+    /// Independently locked result-cache segments: enough that concurrent
+    /// batch workers rarely contend on one lock.
+    const CACHE_SEGMENTS: usize = 8;
+
     /// Builds the serving stack over an existing engine.
     pub fn new(engine: &SearchEngine, config: ServeConfig) -> Self {
         let config = config.normalized();
@@ -148,7 +159,7 @@ impl Server {
         let latency_ns = registry.histogram("fsi_query_latency_ns", &[]);
         Self {
             engine: ShardedEngine::build(engine, config.num_shards, config.mode.clone()),
-            cache: QueryCache::new(config.cache_capacity, config.cache_segments),
+            cache: QueryCache::new(config.cache_capacity, Self::CACHE_SEGMENTS),
             pool: QueryPool::new(config.num_workers),
             registry,
             tenant_labels: LabelCap::new(Self::TENANT_LABEL_CAP),
@@ -228,19 +239,12 @@ impl Server {
                 self.validate(&norm)?;
                 match explain_mode {
                     Some(mode) => self.execute_explain(&norm, mode, req, start),
-                    None => self.execute_norm(&norm, req, start, true),
+                    None => Ok(self.serve(req, start, Work::Expr(&norm), true, None)),
                 }
             }
             QueryInput::Norm(expr) => {
                 self.validate(expr)?;
-                match req.options.explain {
-                    Some(mode) => self.execute_explain(expr, mode, req, start),
-                    None if req.options.trace => {
-                        let tb = TraceBuilder::new(expr.to_string());
-                        self.finish_traced(expr, tb, req, start, true)
-                    }
-                    None => self.execute_norm(expr, req, start, true),
-                }
+                self.execute_expr(expr, req, start, true)
             }
             QueryInput::Terms(terms) => {
                 let num_terms = self.engine.num_terms();
@@ -251,7 +255,7 @@ impl Server {
                     || req.options.trace
                     || req.options.planner_override.is_some();
                 if !needs_expr_route {
-                    return self.execute_terms(terms, req, start);
+                    return Ok(self.serve(req, start, Work::Terms(terms), false, None));
                 }
                 // Options that need the expression engine route through the
                 // canonical conjunction — byte-identical results and the
@@ -263,14 +267,7 @@ impl Server {
                         "the empty conjunction has no expression form to explain, trace, or re-plan",
                     ));
                 };
-                match req.options.explain {
-                    Some(mode) => self.execute_explain(&norm, mode, req, start),
-                    None if req.options.trace => {
-                        let tb = TraceBuilder::new(norm.to_string());
-                        self.finish_traced(&norm, tb, req, start, false)
-                    }
-                    None => self.execute_norm(&norm, req, start, false),
-                }
+                self.execute_expr(&norm, req, start, false)
             }
         }
     }
@@ -331,83 +328,30 @@ impl Server {
         }
     }
 
-    fn record(&self, start: Instant) -> Duration {
-        let latency = start.elapsed();
-        self.latency_ns.record_duration(latency);
-        latency
-    }
-
-    /// The flat conjunctive path (no trace/explain/override): cache-fronted
-    /// intersection, exactly the pool workers' `answer` discipline.
-    fn execute_terms(
-        &self,
-        terms: &[usize],
-        req: &Request,
-        start: Instant,
-    ) -> Result<Response, QueryError> {
-        self.queries_served.inc();
-        self.note_tenant(req);
-        let enabled = self.cache.is_enabled();
-        let key = enabled.then(|| CacheKey::new(terms, ModeKey::from(self.engine.mode())));
-        if let Some(key) = &key {
-            if let Some(hit) = self.cache.get(key) {
-                return Ok(self.served(hit, CacheOutcome::Hit, None, self.record(start)));
-            }
-        }
-        let (result, kind) = self.engine.query_kind(terms);
-        let result = Arc::new(result);
-        if let Some(key) = key {
-            self.cache.insert(key, Arc::clone(&result));
-        }
-        let cache = if enabled {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Disabled
-        };
-        Ok(self.served(result, cache, kind, self.record(start)))
-    }
-
-    /// The expression path: cache-fronted per-shard evaluation, with the
-    /// request's planner override when present. `count_expr` is false when
-    /// a flat request routed here for its options — it still counts as a
-    /// served query, not as an expression query.
-    fn execute_norm(
+    /// A canonical expression under the request's options: rendered as
+    /// `EXPLAIN`, or served (traced when asked).
+    fn execute_expr(
         &self,
         expr: &NormExpr,
         req: &Request,
         start: Instant,
         count_expr: bool,
     ) -> Result<Response, QueryError> {
-        self.queries_served.inc();
-        if count_expr {
-            self.expr_queries_served.inc();
-        }
-        self.note_tenant(req);
-        let enabled = self.cache.is_enabled();
-        let key = enabled.then(|| CacheKey::from_norm(expr, ModeKey::from(self.engine.mode())));
-        if let Some(key) = &key {
-            if let Some(hit) = self.cache.get(key) {
-                return Ok(self.served(hit, CacheOutcome::Hit, None, self.record(start)));
+        match req.options.explain {
+            Some(mode) => self.execute_explain(expr, mode, req, start),
+            None => {
+                let tb = req
+                    .options
+                    .trace
+                    .then(|| TraceBuilder::new(expr.to_string()));
+                Ok(self.serve(req, start, Work::Expr(expr), count_expr, tb))
             }
         }
-        let (result, kind) = self
-            .engine
-            .query_expr_with(expr, req.options.planner_override.as_ref());
-        let result = Arc::new(result);
-        if let Some(key) = key {
-            self.cache.insert(key, Arc::clone(&result));
-        }
-        let cache = if enabled {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Disabled
-        };
-        Ok(self.served(result, cache, kind, self.record(start)))
     }
 
     /// The `EXPLAIN` path: renders one plan tree per shard instead of
     /// serving documents. Does not count toward the serving counters (no
-    /// documents served), exactly like the legacy `explain` method.
+    /// documents served) and never consults the cache.
     fn execute_explain(
         &self,
         expr: &NormExpr,
@@ -417,7 +361,7 @@ impl Server {
     ) -> Result<Response, QueryError> {
         let text = self
             .engine
-            .explain_expr_with(expr, mode, req.options.planner_override.as_ref())
+            .explain(expr, mode, req.options.planner_override.as_ref())
             .ok_or(QueryError::NeedsPlanner)?;
         self.note_tenant(req);
         Ok(Response {
@@ -432,7 +376,7 @@ impl Server {
     }
 
     /// The traced textual path: parse and rewrite under their own spans,
-    /// then the shared traced tail.
+    /// then the serving tail.
     fn execute_traced_text(
         &self,
         query: &str,
@@ -450,178 +394,101 @@ impl Server {
             format!("{:016x}", fsi_query::fingerprint(&norm)),
         );
         self.validate(&norm)?;
-        self.finish_traced(&norm, tb, req, start, true)
+        Ok(self.serve(req, start, Work::Expr(&norm), true, Some(tb)))
     }
 
-    /// The shared traced tail: cache span, traced per-shard execution,
-    /// cache-insert event. Identical result and identical cache
-    /// interaction to the untraced path — only the span bookkeeping is
-    /// added, so traced and untraced runs compare for overhead directly.
-    fn finish_traced(
+    /// The one serving tail every executed request ends in: count, derive
+    /// the cache key, probe, evaluate `work` on the shards on a miss,
+    /// insert, respond. `count_expr` is false when a flat request routed
+    /// to the expression engine for its options — it still counts as a
+    /// served query, not as an expression query.
+    ///
+    /// With a trace builder the tail adds a `cache` span, an `exec` span
+    /// around the traced per-shard evaluation and a `cache_insert` event —
+    /// identical result and identical cache interaction to the untraced
+    /// run, so traced and untraced runs compare for overhead directly.
+    fn serve(
         &self,
-        norm: &NormExpr,
-        mut tb: TraceBuilder,
         req: &Request,
         start: Instant,
+        work: Work<'_>,
         count_expr: bool,
-    ) -> Result<Response, QueryError> {
+        mut tb: Option<TraceBuilder>,
+    ) -> Response {
         self.queries_served.inc();
         if count_expr {
             self.expr_queries_served.inc();
         }
         self.note_tenant(req);
-        let key = self
-            .cache
-            .is_enabled()
-            .then(|| CacheKey::from_norm(norm, ModeKey::from(self.engine.mode())));
-        let s = tb.start_span();
+        let key = self.cache.is_enabled().then(|| {
+            let mode = ModeKey::from(self.engine.mode());
+            match work {
+                Work::Terms(terms) => CacheKey::new(terms, mode),
+                Work::Expr(expr) => CacheKey::from_norm(expr, mode),
+            }
+        });
+        let span = tb.as_ref().map(TraceBuilder::start_span);
         let hit = key.as_ref().and_then(|k| self.cache.get(k));
-        if let Some(hit) = hit {
-            tb.end_span(s, "cache").attr("outcome", "hit");
-            let latency = self.record(start);
-            let mut resp = self.served(hit, CacheOutcome::Hit, None, latency);
-            resp.trace = Some(tb.finish());
-            return Ok(resp);
+        if let (Some(tb), Some(span)) = (tb.as_mut(), span) {
+            let outcome = match (&hit, &key) {
+                (Some(_), _) => "hit",
+                (None, Some(_)) => "miss",
+                (None, None) => "disabled",
+            };
+            tb.end_span(span, "cache").attr("outcome", outcome);
         }
-        tb.end_span(s, "cache")
-            .attr("outcome", if key.is_some() { "miss" } else { "disabled" });
-        let s = tb.start_span();
-        let (result, kind) = self.engine.query_expr_traced_with(
-            norm,
-            &mut tb,
-            req.options.planner_override.as_ref(),
-        );
-        let result = Arc::new(result);
-        tb.end_span(s, "exec")
-            .attr("simd", SimdLevel::active().name())
-            .attr("shards", self.engine.num_shards())
-            .attr("rows", result.len());
-        let cache = if let Some(key) = key {
-            let outcome = self.cache.insert(key, Arc::clone(&result));
-            tb.event("cache_insert")
-                .attr("fresh", outcome.fresh)
-                .attr("evicted", outcome.evicted);
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Disabled
+        if let Some(hit) = hit {
+            return self.served(hit, CacheOutcome::Hit, None, start, tb);
+        }
+        let span = tb.as_ref().map(TraceBuilder::start_span);
+        let (result, kind) = match work {
+            Work::Terms(terms) => self.engine.query_terms(terms),
+            Work::Expr(expr) => {
+                self.engine
+                    .eval(expr, req.options.planner_override.as_ref(), tb.as_mut())
+            }
         };
-        let latency = self.record(start);
-        let mut resp = self.served(result, cache, kind, latency);
-        resp.trace = Some(tb.finish());
-        Ok(resp)
+        let result = Arc::new(result);
+        if let (Some(tb), Some(span)) = (tb.as_mut(), span) {
+            tb.end_span(span, "exec")
+                .attr("simd", SimdLevel::active().name())
+                .attr("shards", self.engine.num_shards())
+                .attr("rows", result.len());
+        }
+        let cache = match key {
+            Some(key) => {
+                let inserted = self.cache.insert(key, Arc::clone(&result));
+                if let Some(tb) = tb.as_mut() {
+                    tb.event("cache_insert")
+                        .attr("fresh", inserted.fresh)
+                        .attr("evicted", inserted.evicted);
+                }
+                CacheOutcome::Miss
+            }
+            None => CacheOutcome::Disabled,
+        };
+        self.served(result, cache, kind, start, tb)
     }
 
+    /// A served response; records its latency and seals its trace.
     fn served(
         &self,
         docs: Arc<Vec<Elem>>,
         cache: CacheOutcome,
         plan_kind: Option<&'static str>,
-        latency: Duration,
+        start: Instant,
+        tb: Option<TraceBuilder>,
     ) -> Response {
+        let latency = start.elapsed();
+        self.latency_ns.record_duration(latency);
         Response {
             docs,
             disposition: Disposition::Served,
             cache,
             plan_kind,
             latency,
-            trace: None,
+            trace: tb.map(TraceBuilder::finish),
             explain: None,
-        }
-    }
-
-    // -- deprecated delegating shims ---------------------------------------
-    //
-    // Each shim is pinned byte-identical to the `execute` path it delegates
-    // to by `tests/execute_differential.rs`.
-
-    /// Answers one conjunctive query (cache-fronted), ascending document
-    /// order.
-    #[deprecated(since = "0.2.0", note = "use `Server::execute(&Request::terms(..))`")]
-    pub fn query(&self, terms: &[usize]) -> Arc<Vec<Elem>> {
-        match self.execute(&Request::terms(terms.to_vec())) {
-            Ok(resp) => resp.docs,
-            // audit:allow(hot_path_panic): the legacy API has no error channel — out-of-vocabulary terms panicked inside the engine before this shim existed
-            Err(e) => panic!("legacy Server::query: {e}"),
-        }
-    }
-
-    /// Parses, rewrites, and answers one boolean query string
-    /// (cache-fronted), ascending document order.
-    #[deprecated(since = "0.2.0", note = "use `Server::execute(&Request::expr(..))`")]
-    pub fn query_expr(&self, query: &str) -> Result<Arc<Vec<Elem>>, QueryError> {
-        self.execute(&Request::expr(query)).map(|resp| resp.docs)
-    }
-
-    /// Answers one pre-compiled boolean expression (cache-fronted).
-    #[deprecated(since = "0.2.0", note = "use `Server::execute(&Request::norm(..))`")]
-    pub fn query_norm(&self, expr: &NormExpr) -> Arc<Vec<Elem>> {
-        match self.execute(&Request::norm(expr.clone())) {
-            Ok(resp) => resp.docs,
-            // audit:allow(hot_path_panic): the legacy API has no error channel — its contract was "caller guarantees every term is in vocabulary"
-            Err(e) => panic!("legacy Server::query_norm: {e}"),
-        }
-    }
-
-    /// Drains a batch of flat conjunctive queries across the worker pool.
-    #[deprecated(since = "0.2.0", note = "use `Server::execute_batch`")]
-    pub fn run_batch(&self, queries: &[Vec<usize>]) -> BatchOutcome {
-        let requests: Vec<Request> = queries.iter().cloned().map(Request::terms).collect();
-        let batch = self.execute_batch(&requests);
-        let mut results = Vec::with_capacity(queries.len());
-        let mut latencies = Vec::with_capacity(queries.len());
-        let mut cache_hits = 0u64;
-        for r in batch.responses {
-            let resp = match r {
-                Ok(resp) => resp,
-                // audit:allow(hot_path_panic): the legacy batch API has no error channel — invalid terms panicked inside the engine before this shim existed
-                Err(e) => panic!("legacy Server::run_batch: {e}"),
-            };
-            cache_hits += (resp.cache == CacheOutcome::Hit) as u64;
-            latencies.push(resp.latency);
-            results.push(resp.docs);
-        }
-        BatchOutcome {
-            results,
-            latencies,
-            latency: batch.latency,
-            latency_hist: batch.latency_hist,
-            queue_depths: batch.queue_depths,
-            executed_per_worker: batch.executed_per_worker,
-            wall: batch.wall,
-            throughput_qps: batch.throughput_qps,
-            cache_hits,
-            cache_misses: queries.len() as u64 - cache_hits,
-        }
-    }
-
-    /// Parses, plans, executes, and fully traces one boolean query.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Server::execute(&Request::expr(..).traced())`"
-    )]
-    pub fn query_expr_traced(
-        &self,
-        query: &str,
-    ) -> Result<(Arc<Vec<Elem>>, QueryTrace), QueryError> {
-        let resp = self.execute(&Request::expr(query).traced())?;
-        match resp.trace {
-            Some(trace) => Ok((resp.docs, trace)),
-            None => Err(QueryError::Unsupported("traced request carried no trace")),
-        }
-    }
-
-    /// Renders `EXPLAIN` or `EXPLAIN ANALYZE` for a boolean query. The
-    /// string may carry the `EXPLAIN [ANALYZE]` prefix (as a user would
-    /// type it) or be a bare query, in which case `default_mode` applies.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Server::execute(&Request::expr(..).explain(mode))`"
-    )]
-    pub fn explain(&self, query: &str, default_mode: ExplainMode) -> Result<String, QueryError> {
-        let resp = self.execute(&Request::expr(query).explain(default_mode))?;
-        match resp.explain {
-            Some(text) => Ok(text),
-            None => Err(QueryError::Unsupported("explain request carried no plan")),
         }
     }
 
@@ -1135,7 +1002,6 @@ mod tests {
         let s = server(ServeConfig {
             num_shards: 2,
             cache_capacity: 16,
-            cache_segments: 2,
             ..ServeConfig::default()
         });
         s.execute(&Request::terms(vec![0, 1])).expect("valid");

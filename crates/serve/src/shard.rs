@@ -62,23 +62,11 @@ struct Shard {
 }
 
 impl Shard {
-    /// Sorted intersection of `terms` within this shard's document range.
-    fn query(&self, terms: &[usize]) -> Vec<Elem> {
-        let mut out = Vec::new();
-        self.query_into(terms, &mut out);
-        out
-    }
-
-    /// Appends the shard's sorted result to `out` — shards share one
-    /// output buffer on the sequential path instead of allocating each.
-    fn query_into(&self, terms: &[usize], out: &mut Vec<Elem>) {
-        self.query_into_kind(terms, out);
-    }
-
-    /// Like [`Shard::query_into`], but reports the chosen kernel of the
+    /// Appends the shard's sorted intersection of `terms` to `out` (shards
+    /// share one output buffer) and reports the chosen kernel of the
     /// executed multiway plan (`None` under a fixed strategy, which plans
     /// nothing).
-    fn query_into_kind(&self, terms: &[usize], out: &mut Vec<Elem>) -> Option<&'static str> {
+    fn query_into(&self, terms: &[usize], out: &mut Vec<Elem>) -> Option<&'static str> {
         match &self.index {
             ShardIndex::Fixed(exec) => {
                 exec.query_into(terms, out);
@@ -88,91 +76,59 @@ impl Shard {
         }
     }
 
-    /// Sorted evaluation of a boolean expression within this shard's
-    /// document range.
-    fn query_expr(&self, expr: &NormExpr) -> Vec<Elem> {
-        let mut out = Vec::new();
-        self.query_expr_into(expr, &mut out);
-        out
-    }
-
-    /// Appends the shard's expression result to `out`. Planned shards run
-    /// the full cost-based expression plan over shard-local statistics;
-    /// fixed shards evaluate structurally through their own strategy.
-    fn query_expr_into(&self, expr: &NormExpr, out: &mut Vec<Elem>) {
-        self.query_expr_into_with(expr, out, None);
-    }
-
-    /// Like [`Shard::query_expr_into`], but optionally planning under a
-    /// per-request `planner` override instead of the shard's own, and
-    /// reporting the plan's root operator label (`None` under a fixed
-    /// strategy, where the override — validated away by the server — is
-    /// ignored).
-    fn query_expr_into_with(
+    /// Appends the shard's expression result to `out` and reports the
+    /// plan's root operator label. Planned shards run the full cost-based
+    /// expression plan over shard-local statistics, under `planner` when
+    /// given instead of their own; fixed shards evaluate structurally
+    /// through their own strategy (and report `None`).
+    ///
+    /// With a trace builder, the shard records one span carrying the
+    /// chosen plan, its estimates and the observed result size: the
+    /// planner-misprediction signal at per-shard granularity.
+    fn query_expr_into(
         &self,
         expr: &NormExpr,
         out: &mut Vec<Elem>,
         planner: Option<&Planner>,
+        tb: Option<&mut TraceBuilder>,
     ) -> Option<&'static str> {
-        match &self.index {
-            ShardIndex::Fixed(exec) => {
-                fsi_query::eval_owned_into(exec, expr, out);
-                None
-            }
-            ShardIndex::Planned(exec) => {
-                let planner = ExprPlanner::new(planner.unwrap_or_else(|| exec.planner()).clone());
-                let plan = fsi_query::eval_planned_into(exec, &planner, expr, out);
-                Some(plan_kind_label(&plan))
-            }
-        }
-    }
-
-    /// The traced twin of [`Shard::query_expr_into`]: identical execution,
-    /// plus one span per shard carrying the chosen plan, its estimates,
-    /// and the observed result size — the planner-misprediction signal at
-    /// per-shard granularity.
-    fn query_expr_into_traced(
-        &self,
-        expr: &NormExpr,
-        out: &mut Vec<Elem>,
-        tb: &mut TraceBuilder,
-        planner: Option<&Planner>,
-    ) -> Option<&'static str> {
+        let start = tb.as_ref().map(|tb| tb.start_span());
         let before = out.len();
-        let start = tb.start_span();
-        match &self.index {
+        let plan = match &self.index {
             ShardIndex::Fixed(exec) => {
                 fsi_query::eval_owned_into(exec, expr, out);
-                tb.end_span(start, &self.span_name)
-                    .attr("mode", "fixed")
-                    .attr("docs", &self.docs_label)
-                    .attr("rows", out.len() - before);
                 None
             }
             ShardIndex::Planned(exec) => {
                 let planner = ExprPlanner::new(planner.unwrap_or_else(|| exec.planner()).clone());
-                let plan = fsi_query::eval_planned_into(exec, &planner, expr, out);
+                Some(fsi_query::eval_planned_into(exec, &planner, expr, out))
+            }
+        };
+        let kind = plan.as_ref().map(plan_kind_label);
+        if let (Some(tb), Some(start)) = (tb, start) {
+            let span = tb.end_span(start, &self.span_name);
+            match (&plan, kind) {
                 // The chosen root operator rides along as a cheap static
                 // label, and the estimates round to integers; the full plan
                 // tree is deliberately NOT rendered here (that is EXPLAIN's
                 // job) — a `describe()` per shard per query costs more than
                 // the tracing budget allows.
-                let kind = plan_kind_label(&plan);
-                tb.end_span(start, &self.span_name)
+                (Some(plan), Some(kind)) => span
                     .attr("mode", "planned")
                     .attr("docs", &self.docs_label)
                     .attr("kind", kind)
                     .attr("est_rows", plan.est_rows.round() as u64)
-                    .attr("est_cost", plan.est_cost.round() as u64)
-                    .attr("rows", out.len() - before);
-                Some(kind)
+                    .attr("est_cost", plan.est_cost.round() as u64),
+                _ => span.attr("mode", "fixed").attr("docs", &self.docs_label),
             }
+            .attr("rows", out.len() - before);
         }
+        kind
     }
 
     /// Shard-local `EXPLAIN` (planned shards only — the fixed path has no
     /// cost model to render), optionally under a per-request planner.
-    fn explain_expr(
+    fn explain(
         &self,
         expr: &NormExpr,
         mode: ExplainMode,
@@ -271,48 +227,7 @@ impl ShardedEngine {
     /// on the unsharded engine (the differential tests assert byte
     /// equality).
     pub fn query(&self, terms: &[usize]) -> Vec<Elem> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            // Disjoint ascending ranges: appending preserves order.
-            shard.query_into(terms, &mut out);
-        }
-        out
-    }
-
-    /// Like [`ShardedEngine::query`], but reports the chosen kernel of
-    /// shard 0's plan alongside the result (`None` under a fixed
-    /// strategy). Shards plan independently; the first shard's label is
-    /// the response-metadata representative, per-shard detail being the
-    /// trace's job.
-    pub(crate) fn query_kind(&self, terms: &[usize]) -> (Vec<Elem>, Option<&'static str>) {
-        let mut out = Vec::new();
-        let mut kind = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let k = shard.query_into_kind(terms, &mut out);
-            if i == 0 {
-                kind = k;
-            }
-        }
-        (out, kind)
-    }
-
-    /// Expression evaluation with an optional per-request planner override
-    /// and shard 0's plan-kind label (the [`ShardedEngine::query_kind`]
-    /// sibling).
-    pub(crate) fn query_expr_with(
-        &self,
-        expr: &NormExpr,
-        planner: Option<&Planner>,
-    ) -> (Vec<Elem>, Option<&'static str>) {
-        let mut out = Vec::new();
-        let mut kind = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let k = shard.query_expr_into_with(expr, &mut out, planner);
-            if i == 0 {
-                kind = k;
-            }
-        }
-        (out, kind)
+        self.query_terms(terms).0
     }
 
     /// Evaluates a boolean expression in ascending document order, running
@@ -325,34 +240,42 @@ impl ShardedEngine {
     /// per-shard results (asserted shard-count-invariant by
     /// `tests/query_differential.rs`).
     pub fn query_expr(&self, expr: &NormExpr) -> Vec<Elem> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.query_expr_into(expr, &mut out);
-        }
-        out
+        self.eval(expr, None, None).0
     }
 
-    /// The traced twin of [`ShardedEngine::query_expr`]: identical result,
-    /// one trace span per shard carrying the planned-mode attributes
-    /// (`kind`, `est_rows`, `est_cost`, observed `rows`). Sequential —
-    /// spans on one builder need one
-    /// thread; the untraced parallel path stays available for serving.
-    pub fn query_expr_traced(&self, expr: &NormExpr, tb: &mut TraceBuilder) -> Vec<Elem> {
-        self.query_expr_traced_with(expr, tb, None).0
+    /// [`ShardedEngine::query`] plus the chosen kernel of shard 0's plan
+    /// (`None` under a fixed strategy). Shards plan independently; the
+    /// first shard's label is the response-metadata representative,
+    /// per-shard detail being the trace's job.
+    pub(crate) fn query_terms(&self, terms: &[usize]) -> (Vec<Elem>, Option<&'static str>) {
+        self.each_shard(|shard, out| shard.query_into(terms, out))
     }
 
-    /// The override-aware, kind-reporting twin of
-    /// [`ShardedEngine::query_expr_traced`].
-    pub(crate) fn query_expr_traced_with(
+    /// [`ShardedEngine::query_expr`] under an optional per-request
+    /// planner, plus shard 0's plan-kind label. With a trace builder, each
+    /// shard records a `shard{i}.exec` span (`kind`, `est_rows`,
+    /// `est_cost`, observed `rows`); spans on one builder need one thread,
+    /// and every shard runs on the calling thread.
+    pub(crate) fn eval(
         &self,
         expr: &NormExpr,
-        tb: &mut TraceBuilder,
         planner: Option<&Planner>,
+        mut tb: Option<&mut TraceBuilder>,
+    ) -> (Vec<Elem>, Option<&'static str>) {
+        self.each_shard(|shard, out| shard.query_expr_into(expr, out, planner, tb.as_deref_mut()))
+    }
+
+    /// Runs `f` over the shards in order, appending into one buffer
+    /// (disjoint ascending ranges: appending preserves order), and keeps
+    /// shard 0's plan label.
+    fn each_shard(
+        &self,
+        mut f: impl FnMut(&Shard, &mut Vec<Elem>) -> Option<&'static str>,
     ) -> (Vec<Elem>, Option<&'static str>) {
         let mut out = Vec::new();
         let mut kind = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            let k = shard.query_expr_into_traced(expr, &mut out, tb, planner);
+            let k = f(shard, &mut out);
             if i == 0 {
                 kind = k;
             }
@@ -360,15 +283,11 @@ impl ShardedEngine {
         (out, kind)
     }
 
-    /// Renders `EXPLAIN`/`EXPLAIN ANALYZE` for every shard, concatenated
-    /// with per-shard headers. Returns `None` in fixed-strategy mode,
-    /// which has no cost model to render.
-    pub fn explain_expr(&self, expr: &NormExpr, mode: ExplainMode) -> Option<String> {
-        self.explain_expr_with(expr, mode, None)
-    }
-
-    /// The override-aware twin of [`ShardedEngine::explain_expr`].
-    pub(crate) fn explain_expr_with(
+    /// Renders `EXPLAIN`/`EXPLAIN ANALYZE` for every shard, optionally
+    /// under a per-request planner, concatenated with per-shard headers.
+    /// Returns `None` in fixed-strategy mode, which has no cost model to
+    /// render.
+    pub(crate) fn explain(
         &self,
         expr: &NormExpr,
         mode: ExplainMode,
@@ -376,7 +295,7 @@ impl ShardedEngine {
     ) -> Option<String> {
         let mut out = String::new();
         for (idx, shard) in self.shards.iter().enumerate() {
-            let section = shard.explain_expr(expr, mode, planner)?;
+            let section = shard.explain(expr, mode, planner)?;
             out.push_str(&format!(
                 "-- shard {idx} [docs {}..{}] --\n{section}",
                 shard.docs.start, shard.docs.end
@@ -386,59 +305,6 @@ impl ShardedEngine {
             }
         }
         Some(out)
-    }
-
-    /// Like [`ShardedEngine::query_expr`], but fans the shards out over
-    /// scoped threads (one per shard) — the expression sibling of
-    /// [`ShardedEngine::query_parallel`].
-    pub fn query_expr_parallel(&self, expr: &NormExpr) -> Vec<Elem> {
-        if self.shards.len() == 1 {
-            return self.query_expr(expr);
-        }
-        let partials: Vec<Vec<Elem>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.query_expr(expr)))
-                .collect();
-            handles
-                .into_iter()
-                // audit:allow(hot_path_panic): a panicked shard query must fail the whole fan-out
-                .map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(partials.iter().map(Vec::len).sum());
-        for p in partials {
-            out.extend(p);
-        }
-        out
-    }
-
-    /// Like [`ShardedEngine::query`], but fans the shards out over scoped
-    /// threads (one per shard) — intra-query parallelism for latency-bound
-    /// callers; [`crate::pool::QueryPool`] provides inter-query parallelism
-    /// for throughput-bound batches.
-    pub fn query_parallel(&self, terms: &[usize]) -> Vec<Elem> {
-        if self.shards.len() == 1 {
-            return self.query(terms);
-        }
-        let partials: Vec<Vec<Elem>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(move || shard.query(terms)))
-                .collect();
-            handles
-                .into_iter()
-                // audit:allow(hot_path_panic): a panicked shard query must fail the whole fan-out
-                .map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(partials.iter().map(Vec::len).sum());
-        for p in partials {
-            out.extend(p);
-        }
-        out
     }
 }
 
@@ -548,16 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_equals_sequential() {
-        let engine = engine();
-        let sharded =
-            ShardedEngine::build(&engine, 4, ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }));
-        for q in [vec![0usize, 1], vec![2, 9, 30], vec![]] {
-            assert_eq!(sharded.query_parallel(&q), sharded.query(&q), "{q:?}");
-        }
-    }
-
-    #[test]
     fn expression_results_are_shard_count_invariant() {
         let engine = engine();
         let exprs: Vec<NormExpr> = [
@@ -583,11 +439,13 @@ mod tests {
                         single.query_expr(e),
                         "shards={shards} expr={e}"
                     );
+                    let mut tb = TraceBuilder::new(e.to_string());
                     assert_eq!(
-                        sharded.query_expr_parallel(e),
+                        sharded.eval(e, None, Some(&mut tb)).0,
                         single.query_expr(e),
-                        "parallel shards={shards} expr={e}"
+                        "traced shards={shards} expr={e}"
                     );
+                    assert_eq!(tb.finish().spans.len(), shards, "one span per shard");
                 }
             }
         }

@@ -1,5 +1,5 @@
-//! The full serving path: build a sharded engine over a Zipf corpus,
-//! replay a Zipf-skewed query stream through the worker pool, and report
+//! The full serving path: build a sharded server over a Zipf corpus,
+//! replay a Zipf-skewed query stream through `Server::execute_batch`, and report
 //! throughput scaling against thread count plus the result-cache hit rate.
 //!
 //! This is the end-to-end demo of the `fsi-serve` subsystem: sharding
@@ -9,9 +9,7 @@
 //! Run with: `cargo run --release --example serving`
 
 use fast_set_intersection::index::{Corpus, CorpusConfig, SearchEngine, Strategy};
-use fast_set_intersection::serve::{
-    ExecMode, QueryPool, Request, ServeConfig, Server, ShardedEngine,
-};
+use fast_set_intersection::serve::{ExecMode, Request, ServeConfig, Server};
 use fast_set_intersection::workloads::{generate_stream, repeat_rate, QueryStreamConfig};
 use fast_set_intersection::HashContext;
 
@@ -34,14 +32,22 @@ fn main() {
     );
 
     // Throughput scaling, cache off: every query runs the shards. One
-    // prepared engine, varying only the pool width, so the compared runs
-    // share the identical index.
+    // engine, sharded identically behind one server per pool width, so the
+    // compared runs differ only in the width.
     println!("\nscaling (cache off, 4 shards):");
-    let engine = SearchEngine::from_corpus(HashContext::new(17), corpus.clone());
-    let sharded =
-        ShardedEngine::build(&engine, 4, ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }));
+    let engine = SearchEngine::from_corpus(HashContext::new(17), corpus);
+    let requests: Vec<Request> = stream.iter().map(|q| Request::terms(q.clone())).collect();
     for workers in [1usize, 2, 4] {
-        let outcome = QueryPool::new(workers).run_batch(&sharded, None, &stream);
+        let server = Server::new(
+            &engine,
+            ServeConfig {
+                num_shards: 4,
+                num_workers: workers,
+                cache_capacity: 0,
+                mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
+            },
+        );
+        let outcome = server.execute_batch(&requests);
         println!(
             "  {workers} worker(s): {:>7.0} q/s  (p50 {:>5.0} us, p99 {:>6.0} us)",
             outcome.throughput_qps, outcome.latency.p50_us, outcome.latency.p99_us
@@ -49,18 +55,15 @@ fn main() {
     }
 
     // Cache on: the Zipf head repeats, the LRU absorbs it.
-    let server = Server::from_corpus(
-        HashContext::new(17),
-        corpus,
+    let server = Server::new(
+        &engine,
         ServeConfig {
             num_shards: 4,
             num_workers: 4,
             cache_capacity: 4096,
             mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
-            ..ServeConfig::default()
         },
     );
-    let requests: Vec<Request> = stream.iter().map(|q| Request::terms(q.clone())).collect();
     let cold = server.execute_batch(&requests);
     let warm = server.execute_batch(&requests);
     let stats = server.stats();

@@ -80,7 +80,6 @@ fn cache_hit_path_equals_miss_path() {
             num_workers: 2,
             cache_capacity: 64,
             mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
-            ..ServeConfig::default()
         },
     );
     for q in &queries() {
@@ -104,7 +103,6 @@ fn sharded_and_cached_batches_match_executor() {
             num_shards: 7,
             num_workers: 4,
             cache_capacity: 32, // small: forces evictions mid-batch
-            cache_segments: 2,
             mode: ExecMode::Fixed(Strategy::Lookup),
         },
     );
@@ -134,7 +132,6 @@ fn concurrent_clients_smoke() {
             num_workers: 2,
             cache_capacity: 128,
             mode: ExecMode::Fixed(Strategy::RanGroupScan { m: 2 }),
-            ..ServeConfig::default()
         },
     );
     let expected: Vec<Vec<u32>> = (0..8)
