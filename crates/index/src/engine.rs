@@ -16,12 +16,19 @@ use std::ops::Range;
 pub struct SearchEngine {
     ctx: HashContext,
     postings: Vec<SortedSet>,
+    /// The document range [`SearchEngine::restricted`] clipped to; `None`
+    /// for an engine over the whole document space.
+    docs: Option<Range<u64>>,
 }
 
 impl SearchEngine {
     /// Builds the engine over explicit posting lists.
     pub fn from_postings(ctx: HashContext, postings: Vec<SortedSet>) -> Self {
-        Self { ctx, postings }
+        Self {
+            ctx,
+            postings,
+            docs: None,
+        }
     }
 
     /// Builds the engine over a synthetic corpus.
@@ -55,10 +62,21 @@ impl SearchEngine {
         self.postings.iter().filter_map(|p| p.max()).max()
     }
 
+    /// Size of the document space this engine covers: the width of the
+    /// range it was [restricted](SearchEngine::restricted) to, or
+    /// `max_doc + 1` (0 when empty) for an unrestricted engine.
+    pub fn universe(&self) -> u64 {
+        match &self.docs {
+            Some(docs) => docs.end.saturating_sub(docs.start),
+            None => self.max_doc().map_or(0, |m| m as u64 + 1),
+        }
+    }
+
     /// A sub-engine whose posting lists are clipped to the document-ID
     /// range `docs` (what a document-partitioned shard holds). The hash
     /// context is shared, so prepared lists from different sub-engines stay
-    /// mutually consistent.
+    /// mutually consistent. The sub-engine records the range, so its
+    /// [`SearchEngine::universe`] is the range's width.
     ///
     /// The range is `u64` so the half-open end can express "past
     /// `u32::MAX`" — document ID `u32::MAX` is a legal [`Elem`], and an
@@ -74,9 +92,14 @@ impl SearchEngine {
                 SortedSet::from_sorted_unchecked(s[lo..hi].to_vec())
             })
             .collect();
+        let docs = match &self.docs {
+            Some(outer) => docs.start.max(outer.start)..docs.end.min(outer.end),
+            None => docs,
+        };
         SearchEngine {
             ctx: self.ctx.clone(),
             postings,
+            docs: Some(docs),
         }
     }
 

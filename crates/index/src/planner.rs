@@ -15,7 +15,7 @@
 //! |------|----------------|----------------|
 //! | [`PlanKind::BitmapAnd`] | `bitmap_word_unit · c_min · 1024 · (k−1)` | every operand dense (all carry chunk bitmaps) |
 //! | [`PlanKind::HashProbe`] | `hash_unit · n_min · (k−1)` | extreme skew: `O(n_min)` cache-missing probes |
-//! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2)` | moderate skew (Hwang–Lin across all k) |
+//! | [`PlanKind::GallopProbe`] | `gallop_unit · n_min · Σᵢ pᵢ`, `pᵢ = 1` for an operand carrying a bitmap (one bit test per candidate), `log₂(nᵢ/n_min + 2)` otherwise | moderate skew (Hwang–Lin across all k), and any sparse driver against bitmapped lists |
 //! | [`PlanKind::RanGroupScan`] | `rgs_unit · Σ nᵢ` | balanced sparse — the paper's home turf |
 //! | [`PlanKind::HeapMerge`] | `heap_unit · Σ nᵢ · log₂ k` | structure-free fallback (tunables can force it) |
 //! | [`PlanKind::CompressedGallop`] | `gallop_unit · n_min · Σᵢ log₂(nᵢ/n_min + 2) + decode_unit · E[decoded]` | memory-bound: probe the compressed blocks directly |
@@ -25,8 +25,13 @@
 //! [`BitmapSet::intersect_k_into`] executes. A [`PlannedList`] keeps every
 //! representation a plan can bind: the flat sorted list (gallop probes,
 //! heap merge), a hash table (skew probes), the RanGroupScan structure,
-//! skip-augmented block postings (compressed-domain probes), and — for
-//! lists dense enough to ever win it — a chunked bitmap.
+//! skip-augmented block postings (compressed-domain probes), and a chunked
+//! bitmap whenever it is no larger than the flat list (`chunks × 8 KiB ≤
+//! 4 B × n`, i.e. density ≥ 1/32 over the chunks the list touches). The
+//! rule looks only at the list's own chunks, so a shard keeps the same
+//! bitmaps wherever its document range starts. The bitmap serves the word
+//! sweep and, in [`PlanKind::GallopProbe`], one-bit membership tests in
+//! place of galloping.
 //!
 //! On top of the compute estimates, every candidate is charged a
 //! **bytes-resident term** `bytes_unit · resident_bytes(candidate)` — the
@@ -51,8 +56,8 @@ use fsi_core::hash::HashContext;
 use fsi_core::traits::{KIntersect, SetIndex};
 use fsi_core::RanGroupScanIndex;
 use fsi_kernels::{
-    compressed_probe_into, gallop_probe_ordered_into, heap_merge_into, BitmapSet, GallopingSet,
-    BITMAP_MIN_DENSITY, WORDS_PER_CHUNK,
+    compressed_probe_into, heap_merge_into, probe_into, BitmapSet, GallopingSet, Probe,
+    WORDS_PER_CHUNK,
 };
 
 /// A posting list prepared for every representation a plan can bind.
@@ -60,10 +65,12 @@ use fsi_kernels::{
 pub struct PlannedList {
     hash: HashSetIndex,
     rgs: RanGroupScanIndex,
-    /// Only built for lists dense enough (own `n / (max+1)` at or above
-    /// [`BITMAP_MIN_DENSITY`]) that [`PlanKind::BitmapAnd`] can ever fire
-    /// on a query containing them — a chunk bitmap costs a fixed 8 KiB per
-    /// touched 2¹⁶-value chunk, which is pure dead weight on sparse lists.
+    /// Built when it is no larger than the flat list it shadows (see
+    /// [`bitmap_chunks`]): density ≥ 1/32 over the 2¹⁶-value chunks the
+    /// list touches, wherever they lie. It serves [`PlanKind::BitmapAnd`],
+    /// the bitmap `OR`, and one-bit membership tests for the probe and
+    /// difference kernels; on a list sparser than that, its fixed 8 KiB
+    /// per touched chunk would outweigh the list itself.
     bitmap: Option<BitmapSet>,
     flat: GallopingSet,
     /// Skip-augmented block postings (Packed frame-of-reference codec) —
@@ -73,26 +80,25 @@ pub struct PlannedList {
     compressed: Option<BlockPostings>,
 }
 
-/// The build-floor rule shared by [`PlannedList::build`] and
-/// [`OperandStats::of_set`]: a list carries a chunk bitmap iff it is at
-/// least [`BITMAP_MIN_DENSITY`] dense in its own value range.
-fn dense_enough(set: &SortedSet) -> bool {
-    set.max()
-        .is_some_and(|m| set.len() as f64 >= BITMAP_MIN_DENSITY * (m as f64 + 1.0))
+/// The build rule shared by [`PlannedList::build`] and
+/// [`OperandStats::of_set`]: a non-empty list carries a chunk bitmap iff
+/// the bitmap is no larger than its flat list — `chunks × 8 KiB ≤ 4 B × n`.
+/// The rule only looks at the chunks the list touches, so it does not
+/// depend on where a shard's document range starts. Returns the chunk
+/// count when the bitmap is kept.
+fn bitmap_chunks(set: &SortedSet) -> Option<usize> {
+    let chunks = BitmapSet::count_chunks(set.as_slice());
+    let bitmap_bytes = chunks * WORDS_PER_CHUNK * std::mem::size_of::<u64>();
+    (chunks > 0 && bitmap_bytes <= set.len() * std::mem::size_of::<Elem>()).then_some(chunks)
 }
 
 impl PlannedList {
     /// Preprocesses `set` for every structure the planner can dispatch to.
     pub fn build(ctx: &HashContext, set: &SortedSet) -> Self {
-        // If this list is sparser than BITMAP_MIN_DENSITY in its own value
-        // range, then for any query containing it the BitmapAnd candidate
-        // is inadmissible (it requires every operand's bitmap), so the
-        // bitmap would never be consulted — skip it entirely.
-        let dense = dense_enough(set);
         Self {
             hash: HashSetIndex::build(set),
             rgs: RanGroupScanIndex::with_m(ctx, set, 2),
-            bitmap: dense.then(|| BitmapSet::build(set)),
+            bitmap: bitmap_chunks(set).map(|_| BitmapSet::build(set)),
             flat: GallopingSet::build(set),
             compressed: Some(BlockPostings::from_slice(
                 BlockCodec::Packed,
@@ -112,10 +118,21 @@ impl PlannedList {
         self.flat.as_slice()
     }
 
-    /// The chunked bitmap, when this list is dense enough to carry one —
-    /// what the expression planner's bitmap-`OR` candidate binds.
+    /// The chunked bitmap, when this list carries one (it is kept when no
+    /// larger than the flat list) — what the expression planner's
+    /// bitmap-`OR` candidate binds.
     pub fn bitmap(&self) -> Option<&BitmapSet> {
         self.bitmap.as_ref()
+    }
+
+    /// How probe kernels test membership in this list: one bit in its
+    /// bitmap when it carries one, a galloping cursor over the flat list
+    /// otherwise.
+    pub fn probe(&self) -> Probe<'_> {
+        match &self.bitmap {
+            Some(bits) => Probe::Bits(bits),
+            None => Probe::Sorted(self.flat.as_slice()),
+        }
     }
 
     /// The skip-augmented block postings, when built — what
@@ -150,7 +167,8 @@ pub struct OperandStats {
     /// Number of elements.
     pub n: usize,
     /// Number of 2¹⁶-value chunks the list touches, if a chunk bitmap is
-    /// prepared for it (`None` for lists too sparse to carry one).
+    /// prepared for it (`None` for lists too sparse to carry one). A list
+    /// with a bitmap is probed by one bit test per candidate.
     pub chunks: Option<usize>,
     /// Exact byte footprint of the list's skip-augmented block postings,
     /// if prepared (`None` vetoes [`PlanKind::CompressedGallop`], mirroring
@@ -160,14 +178,14 @@ pub struct OperandStats {
 
 impl OperandStats {
     /// Stats of a raw sorted set, exactly as [`PlannedList::build`] would
-    /// produce them: the chunk count is `Some` iff the list is dense enough
-    /// in its own value range to carry a bitmap, and the compressed
+    /// produce them: the chunk count is `Some` iff the list's bitmap is no
+    /// larger than its flat list, and the compressed
     /// footprint is [`BlockPostings::measure`]'s exact size — byte-identical
     /// to building the structure, without building it.
     pub fn of_set(set: &SortedSet) -> Self {
         Self {
             n: set.len(),
-            chunks: dense_enough(set).then(|| BitmapSet::count_chunks(set.as_slice())),
+            chunks: bitmap_chunks(set),
             compressed_bytes: Some(BlockPostings::measure(BlockCodec::Packed, set.as_slice())),
         }
     }
@@ -402,13 +420,20 @@ impl Planner {
                 best = (kind, cost);
             }
         };
-        let log_sum: f64 = order[1..]
+        let gallop_log = |s: &OperandStats| (s.n as f64 / n_min + 2.0).log2();
+        // A probed operand carrying a bitmap costs one bit test per
+        // candidate instead of an exponential search.
+        let probe_sum: f64 = order[1..]
             .iter()
-            .map(|&i| (stats[i].n as f64 / n_min + 2.0).log2())
+            .map(|&i| {
+                stats[i]
+                    .chunks
+                    .map_or_else(|| gallop_log(&stats[i]), |_| 1.0)
+            })
             .sum();
         consider(
             PlanKind::GallopProbe,
-            self.gallop_unit * n_min * log_sum + flat_bytes,
+            self.gallop_unit * n_min * probe_sum + flat_bytes,
         );
         consider(
             PlanKind::HashProbe,
@@ -443,6 +468,7 @@ impl Planner {
                     .iter()
                     .map(|&i| (stats[i].n as f64).min(n_min * BLOCK_LEN as f64))
                     .sum::<f64>();
+            let log_sum: f64 = order[1..].iter().map(|&i| gallop_log(&stats[i])).sum();
             consider(
                 PlanKind::CompressedGallop,
                 self.gallop_unit * n_min * log_sum
@@ -503,11 +529,8 @@ impl Planner {
             }
             PlanKind::GallopProbe => {
                 let driver = lists[plan.order[0]].flat.as_slice();
-                let rest: Vec<&[Elem]> = plan.order[1..]
-                    .iter()
-                    .map(|&i| lists[i].flat.as_slice())
-                    .collect();
-                gallop_probe_ordered_into(driver, &rest, out);
+                let rest: Vec<Probe> = plan.order[1..].iter().map(|&i| lists[i].probe()).collect();
+                probe_into(driver, &rest, out);
             }
             PlanKind::HeapMerge => {
                 let slices: Vec<&[Elem]> = lists.iter().map(|l| l.flat.as_slice()).collect();
@@ -561,7 +584,7 @@ impl PlannedExecutor {
         Self {
             planner,
             lists,
-            universe: engine.max_doc().map_or(0, |m| m as u64 + 1),
+            universe: engine.universe(),
         }
     }
 
@@ -570,9 +593,11 @@ impl PlannedExecutor {
         &self.planner
     }
 
-    /// Size of the document space this executor covers (`max_doc + 1`; 0
-    /// for an empty index) — the denominator of the expression planner's
-    /// selectivity estimates.
+    /// Size of the document space this executor covers — the width of a
+    /// shard's document range, or `max_doc + 1` (0 when empty) for an
+    /// unsharded index ([`SearchEngine::universe`]). The denominator of the
+    /// expression planner's selectivity estimates, so they describe the
+    /// shard the plan runs on.
     pub fn universe(&self) -> u64 {
         self.universe
     }
@@ -699,15 +724,67 @@ mod tests {
             kind(&p, &[dense(10_000, 2), dense(80_000, 2)]),
             PlanKind::BitmapAnd
         );
-        // One sparse operand vetoes the bitmap; extreme skew → HashProbe.
+        // One sparse operand vetoes the bitmap AND; the dense operand's
+        // bitmap still prices its probe at one bit test per driver
+        // element, so the skewed pair gallops-and-bit-tests instead of
+        // hashing.
         assert_eq!(
             kind(&p, &[sparse(1_000), dense(80_000, 2)]),
-            PlanKind::HashProbe
+            PlanKind::GallopProbe
+        );
+        let free_sweep = Planner {
+            bitmap_word_unit: 0.0,
+            ..Planner::default()
+        };
+        assert_ne!(
+            kind(&free_sweep, &[sparse(1_000), dense(80_000, 2)]),
+            PlanKind::BitmapAnd
         );
         // Degenerate inputs.
         assert_eq!(kind(&p, &[sparse(0), sparse(10)]), PlanKind::Empty);
         assert_eq!(kind(&p, &[]), PlanKind::Empty);
         assert_eq!(kind(&p, &[sparse(10)]), PlanKind::Single);
+    }
+
+    #[test]
+    fn bit_test_probe_is_at_least_as_fast_as_hash_probe_at_the_moved_crossover() {
+        // The `[sparse(1000), dense(80_000, 2)]` shape the cost model now
+        // sends to GallopProbe: 1 000 sparse candidates tested against a
+        // two-chunk list's bitmap, versus probing its hash table.
+        let ctx = HashContext::new(48);
+        let mut rng = StdRng::seed_from_u64(12);
+        let sparse: SortedSet = (0..1_000).map(|_| rng.gen_range(0..1u32 << 17)).collect();
+        let dense: SortedSet = (0..90_000).map(|_| rng.gen_range(0..1u32 << 17)).collect();
+        let (ps, pd) = (
+            PlannedList::build(&ctx, &sparse),
+            PlannedList::build(&ctx, &dense),
+        );
+        assert_eq!(pd.stats().chunks, Some(2));
+        let lists = [&ps, &pd];
+        let p = Planner::default();
+        let probe = p.plan_for_lists(&lists);
+        assert_eq!(probe.kind, PlanKind::GallopProbe);
+        let hash = MultiwayPlan {
+            kind: PlanKind::HashProbe,
+            ..probe.clone()
+        };
+        let expect = reference_intersection(&[sparse.as_slice(), dense.as_slice()]);
+        let mut best = [std::time::Duration::MAX; 2];
+        let mut out = Vec::with_capacity(sparse.len());
+        for _ in 0..200 {
+            for (slot, plan) in best.iter_mut().zip([&probe, &hash]) {
+                out.clear();
+                let t0 = std::time::Instant::now();
+                p.execute(plan, &lists, &mut out);
+                *slot = (*slot).min(t0.elapsed());
+                assert_eq!(out, expect, "{:?}", plan.kind);
+            }
+        }
+        let [probe_t, hash_t] = best;
+        assert!(
+            probe_t <= hash_t,
+            "bit-test probe {probe_t:?} slower than hash probe {hash_t:?}"
+        );
     }
 
     #[test]
@@ -885,6 +962,25 @@ mod tests {
                 planner.plan_for_lists(&refs),
                 "sizes {sizes:?}"
             );
+        }
+    }
+
+    #[test]
+    fn operand_stats_are_invariant_under_chunk_shifts() {
+        // A shard's lists start wherever its document range starts; the
+        // bitmap rule must not care. Shifting a list by whole chunks keeps
+        // its size, its chunk count and whether it carries a bitmap.
+        let ctx = HashContext::new(49);
+        let mut rng = StdRng::seed_from_u64(13);
+        for (n, span) in [(40_000usize, 1u32 << 17), (3_000, 1 << 17), (900, 1 << 18)] {
+            let set: SortedSet = (0..n).map(|_| rng.gen_range(0..span)).collect();
+            let base = OperandStats::of_set(&set);
+            for k in [1u32, 3, 30_000] {
+                let shifted: SortedSet = set.iter().map(|x| x + (k << 16)).collect();
+                let stats = OperandStats::of_set(&shifted);
+                assert_eq!(stats, base, "n={n} shifted by {k} chunks");
+                assert_eq!(PlannedList::build(&ctx, &shifted).stats(), stats);
+            }
         }
     }
 

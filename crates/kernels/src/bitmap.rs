@@ -64,6 +64,19 @@ impl BitmapSet {
         self.ids.len()
     }
 
+    /// Whether `x` is a member: one binary search over the chunk ids, then
+    /// one bit test.
+    pub fn contains(&self, x: Elem) -> bool {
+        self.ids
+            .binary_search(&(x >> CHUNK_BITS))
+            .is_ok_and(|ci| test_bit(self.chunk(ci), x))
+    }
+
+    /// Chunk `ci`'s 1024 words.
+    fn chunk(&self, ci: usize) -> &[u64] {
+        &self.words[ci * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK]
+    }
+
     /// Number of distinct chunks a sorted slice touches — exactly what
     /// [`BitmapSet::num_chunks`] would report after
     /// [`BitmapSet::from_sorted_slice`], without building any bitmap.
@@ -85,9 +98,7 @@ impl BitmapSet {
     /// Appends chunk `ci`'s members (ascending) to `out`.
     fn extract_chunk(&self, ci: usize, out: &mut Vec<Elem>) {
         // audit:allow(hot_path_index): callers iterate ci over 0..ids.len(); ids and words are parallel per-chunk arrays
-        let id = self.ids[ci];
-        let chunk = &self.words[ci * WORDS_PER_CHUNK..][..WORDS_PER_CHUNK];
-        extract_words(id, chunk, out);
+        extract_words(self.ids[ci], self.chunk(ci), out);
     }
 
     /// k-way `OR`: walks all chunk-id lists in lockstep ascending order;
@@ -144,6 +155,93 @@ impl BitmapSet {
                 }
             }
         }
+    }
+}
+
+/// Whether `x`'s low 16 bits are set in `chunk`.
+fn test_bit(chunk: &[u64], x: Elem) -> bool {
+    let low = (x & ((1 << CHUNK_BITS) - 1)) as usize;
+    // audit:allow(hot_path_index): low < 2^16, so low >> 6 < WORDS_PER_CHUNK = chunk.len()
+    (chunk[low >> 6] >> (low & 63)) & 1 == 1
+}
+
+/// The words of a chunk a set lacks: testing against it always misses.
+static EMPTY_CHUNK: [u64; WORDS_PER_CHUNK] = [0; WORDS_PER_CHUNK];
+
+/// Tests ascending candidates against one [`BitmapSet`]: the chunk of the
+/// last candidate stays resolved, so a run of candidates in one chunk
+/// costs one bit test each and a chunk change one forward search over the
+/// remaining chunk ids.
+#[derive(Debug, Clone)]
+pub(crate) struct BitCursor<'a> {
+    set: &'a BitmapSet,
+    /// Index of the first chunk id not below the current chunk.
+    next: usize,
+    /// The current chunk id (`u32::MAX`, never a chunk id, before the
+    /// first candidate).
+    id: u32,
+    /// The current chunk's words ([`EMPTY_CHUNK`] when the set lacks it).
+    words: &'a [u64],
+}
+
+impl<'a> BitCursor<'a> {
+    pub(crate) fn new(set: &'a BitmapSet) -> Self {
+        Self {
+            set,
+            next: 0,
+            id: u32::MAX,
+            words: &EMPTY_CHUNK,
+        }
+    }
+
+    /// The words of candidate `x`'s chunk; `x` must not be smaller than
+    /// the previous candidate. `None` means the set holds nothing at or
+    /// above that chunk, so no later candidate can be a member either.
+    #[inline]
+    fn chunk_of(&mut self, x: Elem) -> Option<&'a [u64]> {
+        let id = x >> CHUNK_BITS;
+        if id != self.id {
+            let ids = &self.set.ids;
+            let ci = self.next + ids.get(self.next..)?.partition_point(|&c| c < id);
+            let &at = ids.get(ci)?;
+            self.next = ci;
+            self.id = id;
+            self.words = if at == id {
+                self.set.chunk(ci)
+            } else {
+                &EMPTY_CHUNK
+            };
+        }
+        Some(self.words)
+    }
+
+    /// Whether candidate `x` is a member (see [`BitCursor::chunk_of`] for
+    /// the order contract and what `None` means).
+    #[inline]
+    pub(crate) fn find(&mut self, x: Elem) -> Option<bool> {
+        self.chunk_of(x).map(|words| test_bit(words, x))
+    }
+}
+
+impl BitmapSet {
+    /// Appends the members among the ascending `candidates` to `out`,
+    /// ascending. Each candidate costs one bit test, and the output side
+    /// has no data-dependent branch: every candidate is written and the
+    /// write position advances by the tested bit.
+    pub(crate) fn filter_into(&self, candidates: &[Elem], out: &mut Vec<Elem>) {
+        let start = out.len();
+        out.resize(start + candidates.len(), 0);
+        let mut end = start;
+        let mut cursor = BitCursor::new(self);
+        for &x in candidates {
+            let Some(words) = cursor.chunk_of(x) else {
+                break;
+            };
+            // end <= start + (candidates seen so far) < out.len().
+            out[end] = x;
+            end += usize::from(test_bit(words, x));
+        }
+        out.truncate(end);
     }
 }
 
@@ -400,6 +498,53 @@ mod tests {
         let mut out = Vec::new();
         BitmapSet::union_k_into(&[&ia, &ib], &mut out);
         assert_eq!(out, vec![3, 65_535, 65_536, 70_000, 70_001, u32::MAX]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn contains_matches_the_source_slice(
+            // Wide draws land in many sparse chunks; narrow ones fill a
+            // few chunks densely. Chunk edges and the top of u32 are
+            // always members or probes.
+            wide in proptest::collection::vec(proptest::any::<u32>(), 0..200),
+            narrow in proptest::collection::vec(0u32..200_000, 0..2_000),
+            probes in proptest::collection::vec(proptest::any::<u32>(), 0..200),
+        ) {
+            let edges = [0, 65_535, 65_536, 131_071, u32::MAX - 1, u32::MAX];
+            let mut elems = wide.clone();
+            elems.extend(&narrow);
+            elems.extend(edges.iter().step_by(2));
+            let set = SortedSet::from_unsorted(elems);
+            let bits = BitmapSet::build(&set);
+            let src = set.as_slice();
+            // Neighbours of members, and the same low bits one chunk
+            // down: a chunk the set lacks right below one it has.
+            let mut xs: Vec<Elem> = probes.clone();
+            xs.extend(edges);
+            xs.extend(src.iter().flat_map(|&x| {
+                [x.wrapping_sub(1), x, x.wrapping_add(1), x.wrapping_sub(1 << CHUNK_BITS)]
+            }));
+            for &x in &xs {
+                proptest::prop_assert!(
+                    bits.contains(x) == src.binary_search(&x).is_ok(),
+                    "contains({}) disagrees with the source slice",
+                    x
+                );
+            }
+            // The ascending cursors behind the probe kernels agree too.
+            xs.sort_unstable();
+            xs.dedup();
+            let (inside, outside): (Vec<Elem>, Vec<Elem>) =
+                xs.iter().partition(|x| src.binary_search(x).is_ok());
+            let mut kept = Vec::new();
+            bits.filter_into(&xs, &mut kept);
+            proptest::prop_assert_eq!(&kept, &inside);
+            let mut left = Vec::new();
+            crate::boolean::probe_diff_into(&xs, &[crate::Probe::Bits(&bits)], &mut left);
+            proptest::prop_assert_eq!(&left, &outside);
+        }
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!   `O(Σ nᵢ · log k)`, emits each value once however many lists carry it.
 //! * [`gallop_diff_into`] — `base ∖ (S₁ ∪ … ∪ Sₘ)` with one galloping
 //!   cursor per subtrahend, the difference sibling of
-//!   [`gallop_probe_ordered_into`](crate::multiway::gallop_probe_ordered_into):
-//!   a candidate found in *any* subtrahend is dropped immediately, and a
-//!   subtrahend whose cursor exhausts is never probed again. Unlike the
-//!   intersection probe, an exhausted subtrahend does **not** end the
-//!   query — the remaining base elements simply cannot be excluded by it.
+//!   [`probe_into`](crate::multiway::probe_into): a candidate found in
+//!   *any* subtrahend is dropped immediately, and a subtrahend whose cursor
+//!   exhausts is never probed again. Unlike the intersection probe, an
+//!   exhausted subtrahend does **not** end the query — the remaining base
+//!   elements simply cannot be excluded by it. [`probe_diff_into`] is the
+//!   same loop over [`Probe`] subtrahends, so one carrying a chunk bitmap
+//!   excludes by a single bit test.
 //!
 //! The dense-regime union counterpart is the chunked-bitmap `OR`
 //! ([`BitmapSet::union_k_into`](crate::BitmapSet::union_k_into)), which
@@ -29,8 +31,8 @@
 //! All inputs are sorted and duplicate-free; all outputs are appended to
 //! `out` in ascending order and duplicate-free.
 
+use crate::multiway::{Probe, ProbeCursor};
 use fsi_core::elem::Elem;
-use fsi_core::search::gallop;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -93,42 +95,40 @@ pub fn heap_union_into(sets: &[&[Elem]], out: &mut Vec<Elem>) {
     }
 }
 
+/// [`probe_diff_into`] with every subtrahend a sorted slice, galloped.
+pub fn gallop_diff_into(base: &[Elem], subtract: &[&[Elem]], out: &mut Vec<Elem>) {
+    let probes: Vec<Probe> = subtract.iter().map(|&s| Probe::Sorted(s)).collect();
+    probe_diff_into(base, &probes, out);
+}
+
 /// Appends `base ∖ (subtract₁ ∪ … ∪ subtractₘ)` to `out`, ascending: every
-/// candidate of `base` gallops through the subtrahends **in the given
+/// candidate of `base` is tested against the subtrahends **in the given
 /// order** (callers — the expression planner — put the most-excluding list
 /// first so doomed candidates die on their cheapest probe). A subtrahend
-/// whose cursor exhausts is dropped from further probing; when all are
-/// exhausted the rest of `base` is copied through.
-pub fn gallop_diff_into(base: &[Elem], subtract: &[&[Elem]], out: &mut Vec<Elem>) {
-    let mut lists: Vec<&[Elem]> = subtract.iter().copied().filter(|s| !s.is_empty()).collect();
-    if lists.is_empty() {
-        out.extend_from_slice(base);
-        return;
-    }
-    let mut cursors = vec![0usize; lists.len()];
+/// carrying a chunk bitmap excludes by one bit test, a sorted one
+/// gallops. A subtrahend with nothing left at or above a candidate is
+/// dropped from further probing; when all are dropped the rest of `base`
+/// is copied through.
+pub fn probe_diff_into(base: &[Elem], subtract: &[Probe<'_>], out: &mut Vec<Elem>) {
+    let mut cursors: Vec<ProbeCursor> = subtract.iter().map(ProbeCursor::new).collect();
     'candidates: for (bi, &x) in base.iter().enumerate() {
-        let mut li = 0usize;
-        while li < lists.len() {
-            let list = lists[li];
-            let c = gallop(list, cursors[li], x);
-            if c >= list.len() {
-                // This subtrahend can never exclude a later (larger)
-                // candidate: retire it. `swap_remove` puts a fresh list at
-                // `li`, so don't advance.
-                lists.swap_remove(li);
-                cursors.swap_remove(li);
-                if lists.is_empty() {
-                    out.extend_from_slice(&base[bi..]);
-                    return;
+        let mut ci = 0usize;
+        while let Some(cursor) = cursors.get_mut(ci) {
+            match cursor.find(x) {
+                // Excluded — no later subtrahend matters.
+                Some(true) => continue 'candidates,
+                Some(false) => ci += 1,
+                None => {
+                    // This subtrahend can never exclude a later (larger)
+                    // candidate: retire it. `swap_remove` puts a fresh
+                    // cursor at `ci`, so don't advance.
+                    cursors.swap_remove(ci);
                 }
-                continue;
             }
-            cursors[li] = c;
-            if list[c] == x {
-                cursors[li] = c + 1;
-                continue 'candidates; // excluded — no later subtrahend matters
-            }
-            li += 1;
+        }
+        if cursors.is_empty() {
+            out.extend_from_slice(&base[bi..]);
+            return;
         }
         out.push(x);
     }

@@ -100,7 +100,11 @@ impl Kernel for SimdMerge {
 }
 
 /// Minimum `n_min/universe` density at which the chunked bitmap's
-/// fixed `O(universe/64)` word sweep beats element-at-a-time kernels.
+/// fixed `O(universe/64)` word sweep beats element-at-a-time kernels —
+/// the threshold of the runtime selectors [`KernelChoice::select`] and
+/// [`MultiwayChoice::select`](crate::MultiwayChoice::select). Prepared
+/// lists (`fsi_index::PlannedList`) decide whether to keep a bitmap by
+/// its size instead.
 pub const BITMAP_MIN_DENSITY: f64 = 1.0 / 16.0;
 
 /// Which kernel the runtime selector picked (exposed for tests/telemetry).

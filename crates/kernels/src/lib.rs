@@ -64,9 +64,12 @@
 //! lists: it prices every candidate kernel with a whole-query cost model
 //! (adding a hash-probe tier for extreme skew and the paper's
 //! RanGroupScan for balanced sparse) and picks the minimum — see the
-//! `fsi_index::planner` module doc for the authoritative cost table. The
-//! [`BITMAP_MIN_DENSITY`] constant is shared: it decides, at build time,
-//! which lists carry a chunk bitmap at all.
+//! `fsi_index::planner` module doc for the authoritative cost table.
+//! [`BITMAP_MIN_DENSITY`] is only the threshold of these two runtime
+//! selectors. Which prepared lists carry a chunk bitmap is the planner's
+//! byte rule (a bitmap no larger than the flat list it shadows), and a
+//! carried bitmap also serves [`probe_into`] and [`probe_diff_into`] as a
+//! one-bit membership test ([`Probe::Bits`]).
 //!
 //! `Strategy::{Bitmap, Galloping, SigFilter}` pin one kernel for every
 //! query the way every other fixed strategy does; the planner makes the
@@ -97,15 +100,15 @@ pub mod simd;
 
 pub use bitmap::WORDS_PER_CHUNK;
 pub use bitmap::{BitmapKernel, BitmapSet};
-pub use boolean::{gallop_diff_into, heap_union_into, merge_union_into};
+pub use boolean::{gallop_diff_into, heap_union_into, merge_union_into, probe_diff_into};
 pub use gallop::{
     branchless_merge_into, galloping_into, BranchlessMerge, Galloping, GallopingSet, GALLOP_RATIO,
 };
 pub use kernel::{AutoKernel, Kernel, KernelChoice, ScalarMerge, SimdMerge, BITMAP_MIN_DENSITY};
 pub use multiway::{
-    compressed_probe_into, gallop_probe_into, gallop_probe_ordered_into, heap_merge_into,
-    pairwise_fold_into, BitmapAnd, CompressedProbe, GallopProbe, HeapMerge, MultiwayAuto,
-    MultiwayChoice, MultiwayKernel, SkipCursor, SliceCursor,
+    compressed_probe_into, gallop_probe_into, heap_merge_into, pairwise_fold_into, probe_into,
+    BitmapAnd, CompressedProbe, GallopProbe, HeapMerge, MultiwayAuto, MultiwayChoice,
+    MultiwayKernel, Probe, SkipCursor, SliceCursor,
 };
 pub use sigfilter::{SigFilterKernel, SigFilterSet};
 pub use simd::SimdLevel;

@@ -30,7 +30,7 @@
 //! paper's RanGroupScan); these kernels are the slice-level machinery both
 //! dispatchers bottom out in.
 
-use crate::bitmap::BitmapSet;
+use crate::bitmap::{BitCursor, BitmapSet};
 use crate::gallop::GALLOP_RATIO;
 use crate::kernel::BITMAP_MIN_DENSITY;
 use fsi_core::elem::Elem;
@@ -66,33 +66,76 @@ pub fn gallop_probe_into(sets: &[&[Elem]], out: &mut Vec<Elem>) {
             order.sort_by_key(|s| s.len());
             // audit:allow(hot_path_panic): k >= 2 was checked at dispatch, so split_first always succeeds
             let (driver, rest) = order.split_first().expect("k >= 2");
-            gallop_probe_ordered_into(driver, rest, out);
+            let rest: Vec<Probe> = rest.iter().map(|&s| Probe::Sorted(s)).collect();
+            probe_into(driver, &rest, out);
         }
     }
 }
 
-/// The order-honouring core of [`gallop_probe_into`]: probes `driver`'s
-/// candidates through `rest` **in the given order** (callers — the
-/// `fsi-index` planner — choose the evaluation order; this function never
-/// re-sorts). Appends survivors to `out`, ascending.
-pub fn gallop_probe_ordered_into(driver: &[Elem], rest: &[&[Elem]], out: &mut Vec<Elem>) {
-    if rest.is_empty() {
-        out.extend_from_slice(driver);
-        return;
+/// One operand a driver's candidates are tested against: by one bit when
+/// it carries a chunk bitmap, by a galloping cursor over its sorted list
+/// otherwise.
+#[derive(Debug, Clone, Copy)]
+pub enum Probe<'a> {
+    /// A chunk bitmap: one bit test per candidate.
+    Bits(&'a BitmapSet),
+    /// A sorted, duplicate-free list: one exponential search per candidate.
+    Sorted(&'a [Elem]),
+}
+
+/// The per-call state of one [`Probe`]: candidates arrive ascending, so
+/// each cursor only ever moves forward.
+pub(crate) enum ProbeCursor<'a> {
+    Bits(BitCursor<'a>),
+    Sorted { list: &'a [Elem], pos: usize },
+}
+
+impl<'a> ProbeCursor<'a> {
+    pub(crate) fn new(probe: &Probe<'a>) -> Self {
+        match *probe {
+            Probe::Bits(set) => ProbeCursor::Bits(BitCursor::new(set)),
+            Probe::Sorted(list) => ProbeCursor::Sorted { list, pos: 0 },
+        }
     }
-    let mut cursors = vec![0usize; rest.len()];
+
+    /// Whether candidate `x` (not smaller than the previous one) is a
+    /// member; `None` once the operand holds nothing at or above `x`, so
+    /// no later candidate can be a member either.
+    #[inline]
+    pub(crate) fn find(&mut self, x: Elem) -> Option<bool> {
+        match self {
+            ProbeCursor::Bits(bits) => bits.find(x),
+            ProbeCursor::Sorted { list, pos } => {
+                let c = gallop(list, *pos, x);
+                let &y = list.get(c)?;
+                *pos = c + usize::from(y == x);
+                Some(y == x)
+            }
+        }
+    }
+}
+
+/// Tests every candidate of `driver` against `rest` **in the given order**
+/// (callers — the `fsi-index` planner — choose the evaluation order; this
+/// function never re-sorts) and appends the candidates every operand
+/// holds to `out`, ascending. A candidate is dropped at its first miss,
+/// and an operand with nothing left at or above a candidate ends the
+/// whole call.
+pub fn probe_into(driver: &[Elem], rest: &[Probe<'_>], out: &mut Vec<Elem>) {
+    match rest {
+        [] => return out.extend_from_slice(driver),
+        [Probe::Bits(bits)] => return bits.filter_into(driver, out),
+        _ => {}
+    }
+    let mut cursors: Vec<ProbeCursor> = rest.iter().map(ProbeCursor::new).collect();
     'candidates: for &x in driver {
-        for (ci, list) in rest.iter().enumerate() {
-            let c = gallop(list, cursors[ci], x);
-            if c >= list.len() {
+        for cursor in &mut cursors {
+            match cursor.find(x) {
+                Some(true) => {}
+                Some(false) => continue 'candidates,
                 // Every later candidate is larger still: done.
-                return;
+                None => return,
             }
-            if list[c] != x {
-                cursors[ci] = c;
-                continue 'candidates;
-            }
-            cursors[ci] = c + 1;
         }
         out.push(x);
     }
@@ -343,7 +386,7 @@ pub trait SkipCursor {
 }
 
 /// A [`SkipCursor`] over a flat sorted slice: `seek` gallops from the
-/// current position, mirroring [`gallop_probe_ordered_into`]'s cursor
+/// current position, mirroring [`probe_into`]'s galloping cursor
 /// discipline.
 #[derive(Debug, Clone)]
 pub struct SliceCursor<'a> {

@@ -45,4 +45,4 @@ pub use registry::{
     Counter, Gauge, LabelCap, Labels, Registry, Snapshot, SnapshotEntry, SnapshotValue,
 };
 pub use slowlog::{SlowLog, SlowLogEntry, Stage, TailSampler};
-pub use trace::{fmt_ns, QueryTrace, Span, SpanStart, TraceBuilder};
+pub use trace::{fmt_ns, AttrValue, QueryTrace, Span, SpanStart, TraceBuilder};

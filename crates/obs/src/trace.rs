@@ -7,16 +7,140 @@
 //! span list with start offsets reconstructs the timeline exactly, without
 //! the allocation churn of a span tree. Attributes carry the attribution
 //! payload — chosen `PlanKind`, SIMD tier, estimated vs observed rows,
-//! cache hit/miss/refresh — as plain strings so the trace layer has no
-//! dependency on the layers it describes.
+//! cache hit/miss/refresh — as [`AttrValue`]s that read back as plain
+//! strings, so the trace layer has no dependency on the layers it
+//! describes. They are stored typed and rendered when read: a traced
+//! query records a few dozen of them, and most are never read.
 
+use std::borrow::Cow;
+use std::fmt;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// An attribute value as it reads back: a string. It is stored as
+/// recorded — a `&'static str` label by reference, an integer, range,
+/// hash or shared [`Display`](fmt::Display) value as itself — and
+/// rendered to text only when first read. Recording one therefore
+/// neither formats nor allocates, unless it is an owned string.
+#[derive(Clone)]
+pub struct AttrValue {
+    value: Typed,
+    /// The rendering of a non-string value, made on first read.
+    text: OnceLock<String>,
+}
+
+#[derive(Clone)]
+enum Typed {
+    Label(&'static str),
+    Text(String),
+    Uint(u64),
+    Int(i64),
+    Range(u64, u64),
+    Hex(u64),
+    Display(Arc<dyn fmt::Display + Send + Sync>),
+}
+
+impl AttrValue {
+    fn new(value: Typed) -> Self {
+        Self {
+            value,
+            text: OnceLock::new(),
+        }
+    }
+
+    /// The value as text.
+    pub fn as_str(&self) -> &str {
+        match &self.value {
+            Typed::Label(s) => s,
+            Typed::Text(s) => s,
+            Typed::Uint(v) => self.text.get_or_init(|| v.to_string()),
+            Typed::Int(v) => self.text.get_or_init(|| v.to_string()),
+            Typed::Range(start, end) => self.text.get_or_init(|| format!("{start}..{end}")),
+            Typed::Hex(v) => self.text.get_or_init(|| format!("{v:016x}")),
+            Typed::Display(v) => self.text.get_or_init(|| v.to_string()),
+        }
+    }
+
+    /// A shared value that reads as its [`Display`](fmt::Display)
+    /// rendering, made on first read — for values, such as a query
+    /// expression, whose rendering costs more than sharing them.
+    pub fn display(v: Arc<dyn fmt::Display + Send + Sync>) -> Self {
+        AttrValue::new(Typed::Display(v))
+    }
+
+    /// A 64-bit value that reads as 16 lowercase hex digits (a hash or
+    /// fingerprint).
+    pub fn hex(v: u64) -> Self {
+        AttrValue::new(Typed::Hex(v))
+    }
+}
+
+/// Values compare by their text.
+impl PartialEq for AttrValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for AttrValue {}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> Self {
+        AttrValue::new(Typed::Label(s))
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> Self {
+        AttrValue::new(Typed::Text(s))
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(b: bool) -> Self {
+        AttrValue::new(Typed::Label(if b { "true" } else { "false" }))
+    }
+}
+
+impl From<Range<u64>> for AttrValue {
+    /// Reads as `start..end`.
+    fn from(r: Range<u64>) -> Self {
+        AttrValue::new(Typed::Range(r.start, r.end))
+    }
+}
+
+macro_rules! int_attr {
+    ($variant:ident: $($t:ty),*) => {$(
+        impl From<$t> for AttrValue {
+            fn from(v: $t) -> Self {
+                AttrValue::new(Typed::$variant(v as _))
+            }
+        }
+    )*};
+}
+int_attr!(Uint: u32, u64, usize);
+int_attr!(Int: i32, i64);
 
 /// One timed stage of a traced query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Stage name (`parse`, `plan`, `shard0`, …).
-    pub name: String,
+    /// Stage name (`parse`, `plan`, `shard0.exec`, …): borrowed when
+    /// the instrumentation site names it with a `'static` string, as every
+    /// per-query site does.
+    pub name: Cow<'static, str>,
     /// Start offset from the trace's origin, nanoseconds.
     pub start_ns: u64,
     /// Wall-clock duration, nanoseconds.
@@ -25,14 +149,19 @@ pub struct Span {
     /// attribute names are always literals at the instrumentation site, and
     /// tracing sits on the per-query hot path — one avoidable allocation
     /// per attribute is exactly the overhead budget this crate promises
-    /// not to spend.
-    pub attrs: Vec<(&'static str, String)>,
+    /// not to spend (see [`AttrValue`]).
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl Span {
     /// Adds one attribute (chainable).
-    pub fn attr(&mut self, key: &'static str, value: impl ToString) -> &mut Self {
-        self.attrs.push((key, value.to_string()));
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) -> &mut Self {
+        if self.attrs.is_empty() {
+            // One allocation covers the widest span the serving stack
+            // records (a shard's six attributes).
+            self.attrs.reserve(6);
+        }
+        self.attrs.push((key, value.into()));
         self
     }
 
@@ -77,11 +206,11 @@ impl TraceBuilder {
 
     /// Ends a stage started with [`TraceBuilder::start_span`], recording it
     /// under `name`; the returned reference takes attributes.
-    pub fn end_span(&mut self, start: SpanStart, name: &str) -> &mut Span {
+    pub fn end_span(&mut self, start: SpanStart, name: impl Into<Cow<'static, str>>) -> &mut Span {
         let start_ns = ns(start.0.duration_since(self.origin));
         let dur_ns = ns(start.0.elapsed());
         self.spans.push(Span {
-            name: name.to_string(),
+            name: name.into(),
             start_ns,
             dur_ns,
             attrs: Vec::new(),
@@ -91,7 +220,7 @@ impl TraceBuilder {
     }
 
     /// Records an instantaneous (zero-duration) event span.
-    pub fn event(&mut self, name: &str) -> &mut Span {
+    pub fn event(&mut self, name: impl Into<Cow<'static, str>>) -> &mut Span {
         let at = self.start_span();
         self.end_span(at, name)
     }
@@ -160,7 +289,7 @@ impl QueryTrace {
                 let attrs: Vec<String> = s
                     .attrs
                     .iter()
-                    .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
+                    .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v.as_str())))
                     .collect();
                 format!(
                     "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \"attrs\": {{{}}}}}",

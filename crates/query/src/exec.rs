@@ -4,9 +4,10 @@
 //!   full cost-based path. `AND`-of-terms nodes run the embedded
 //!   [`fsi_index::MultiwayPlan`] directly on the prepared lists (zero
 //!   materialization), `OR` nodes dispatch between the heap union and the
-//!   chunked-bitmap `OR`, differences gallop. Term operands of unions and
-//!   differences borrow the prepared flat slices — only genuine
-//!   sub-expression results are materialized.
+//!   chunked-bitmap `OR`, differences test a term subtrahend's bitmap by
+//!   one bit when it carries one and gallop otherwise. Term operands of
+//!   unions and differences borrow the prepared flat slices — only
+//!   genuine sub-expression results are materialized.
 //! * [`eval_owned_into`] — over an [`fsi_index::OwnedExecutor`] (one fixed
 //!   [`fsi_index::Strategy`]): structural evaluation. Conjunctions of
 //!   terms reuse the executor's own k-way path, so a fixed-strategy shard
@@ -22,7 +23,9 @@ use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{OwnedExecutor, PlanKind, PlannedExecutor, PlannedList};
-use fsi_kernels::{gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet};
+use fsi_kernels::{
+    gallop_diff_into, gallop_probe_into, heap_union_into, probe_diff_into, BitmapSet, Probe,
+};
 
 /// A child result: borrowed straight from a prepared list when the child
 /// is a term, materialized otherwise.
@@ -121,7 +124,7 @@ fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out:
                 }
                 let neg_ops: Vec<Operand> = neg.iter().map(|n| operand(exec, planner, n)).collect();
                 let neg_slices: Vec<&[Elem]> = neg_ops.iter().map(Operand::as_slice).collect();
-                gallop_diff_into(&base, &neg_slices, out);
+                subtract_into(exec, &base, neg, &neg_slices, out);
             }
         }
         PlanNode::Or { children, kind } => match kind {
@@ -148,6 +151,29 @@ fn run_plan(exec: &PlannedExecutor, planner: &ExprPlanner, plan: &ExprPlan, out:
             }
         },
     }
+}
+
+/// Appends `base ∖ (∪ neg)` to `out`, probing the subtrahends in plan
+/// order. A term subtrahend carrying a bitmap excludes a candidate by one
+/// bit test; every other subtrahend gallops over `neg_slices` (its
+/// borrowed list or materialized result, positional with `neg`). The one
+/// difference path: [`run_plan`] and EXPLAIN ANALYZE both end in it.
+pub(crate) fn subtract_into(
+    exec: &PlannedExecutor,
+    base: &[Elem],
+    neg: &[ExprPlan],
+    neg_slices: &[&[Elem]],
+    out: &mut Vec<Elem>,
+) {
+    let probes: Vec<Probe> = neg
+        .iter()
+        .zip(neg_slices)
+        .map(|(n, &slice)| match n.node {
+            PlanNode::Term(t) => exec.list(t).probe(),
+            _ => Probe::Sorted(slice),
+        })
+        .collect();
+    probe_diff_into(base, &probes, out);
 }
 
 /// Runs an `And` node's positive intersection, appending ascending output.

@@ -17,7 +17,7 @@ use crate::plan::{AndKind, ExprPlan, ExprPlanner, PlanNode, UnionKind};
 use crate::rewrite::NormExpr;
 use fsi_core::elem::Elem;
 use fsi_index::{PlanKind, PlannedExecutor, PlannedList};
-use fsi_kernels::{gallop_diff_into, gallop_probe_into, heap_union_into, BitmapSet};
+use fsi_kernels::{gallop_probe_into, heap_union_into, BitmapSet};
 use std::time::Instant;
 
 /// Which explain variant a query prefix requested.
@@ -235,7 +235,7 @@ pub fn analyze_plan(
                             ..report
                         });
                     }
-                    gallop_diff_into(&base, &slices, out);
+                    crate::exec::subtract_into(exec, &base, neg, &slices, out);
                 }
             }
             children

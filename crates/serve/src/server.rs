@@ -13,7 +13,9 @@ use crate::stats::{LatencySummary, ServeStats};
 use fsi_core::{Elem, HashContext};
 use fsi_index::{Corpus, SearchEngine};
 use fsi_kernels::SimdLevel;
-use fsi_obs::{Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, TraceBuilder};
+use fsi_obs::{
+    AttrValue, Counter, HistSnapshot, Histogram, LabelCap, Registry, Snapshot, TraceBuilder,
+};
 use fsi_query::{CompileError, ExplainMode, NormExpr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -388,11 +390,10 @@ impl Server {
         let ast = fsi_query::parse(query).map_err(CompileError::from)?;
         tb.end_span(s, "parse");
         let s = tb.start_span();
-        let norm = fsi_query::normalize(&ast).map_err(CompileError::from)?;
-        tb.end_span(s, "rewrite").attr("canonical", &norm).attr(
-            "fingerprint",
-            format!("{:016x}", fsi_query::fingerprint(&norm)),
-        );
+        let norm = Arc::new(fsi_query::normalize(&ast).map_err(CompileError::from)?);
+        tb.end_span(s, "rewrite")
+            .attr("canonical", AttrValue::display(norm.clone()))
+            .attr("fingerprint", AttrValue::hex(fsi_query::fingerprint(&norm)));
         self.validate(&norm)?;
         Ok(self.serve(req, start, Work::Expr(&norm), true, Some(tb)))
     }

@@ -17,7 +17,9 @@ use fsi_core::Elem;
 use fsi_index::{OwnedExecutor, PlannedExecutor, Planner, SearchEngine};
 use fsi_obs::TraceBuilder;
 use fsi_query::{ExplainMode, ExprPlan, ExprPlanner, NormExpr, PlanNode};
+use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The top-level operator label of a plan (what the trace span reports as
 /// the chosen `PlanKind`).
@@ -32,6 +34,18 @@ fn plan_kind_label(plan: &ExprPlan) -> &'static str {
             fsi_query::UnionKind::HeapMerge => "HeapMerge",
             fsi_query::UnionKind::BitmapOr => "BitmapOr",
         },
+    }
+}
+
+/// The trace span name of shard `i`, `shard{i}.exec`. The names of the
+/// first 64 shards are rendered once per process, so recording a shard
+/// span copies a reference instead of allocating a name.
+fn shard_span_name(i: usize) -> Cow<'static, str> {
+    static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    let names = NAMES.get_or_init(|| (0..64).map(|i| format!("shard{i}.exec")).collect());
+    match names.get(i) {
+        Some(name) => Cow::Borrowed(name),
+        None => Cow::Owned(format!("shard{i}.exec")),
     }
 }
 
@@ -54,11 +68,8 @@ enum ShardIndex {
 struct Shard {
     index: ShardIndex,
     docs: Range<u64>,
-    /// Trace span name (`shard{idx}.exec`) and document-range attribute,
-    /// rendered once at build time: traced queries clone them instead of
-    /// re-formatting per query.
-    span_name: String,
-    docs_label: String,
+    /// Trace span name (`shard{idx}.exec`).
+    span_name: Cow<'static, str>,
 }
 
 impl Shard {
@@ -106,7 +117,7 @@ impl Shard {
         };
         let kind = plan.as_ref().map(plan_kind_label);
         if let (Some(tb), Some(start)) = (tb, start) {
-            let span = tb.end_span(start, &self.span_name);
+            let span = tb.end_span(start, self.span_name.clone());
             match (&plan, kind) {
                 // The chosen root operator rides along as a cheap static
                 // label, and the estimates round to integers; the full plan
@@ -115,11 +126,11 @@ impl Shard {
                 // the tracing budget allows.
                 (Some(plan), Some(kind)) => span
                     .attr("mode", "planned")
-                    .attr("docs", &self.docs_label)
+                    .attr("docs", self.docs.clone())
                     .attr("kind", kind)
                     .attr("est_rows", plan.est_rows.round() as u64)
                     .attr("est_cost", plan.est_cost.round() as u64),
-                _ => span.attr("mode", "fixed").attr("docs", &self.docs_label),
+                _ => span.attr("mode", "fixed").attr("docs", self.docs.clone()),
             }
             .attr("rows", out.len() - before);
         }
@@ -180,8 +191,7 @@ impl ShardedEngine {
                 };
                 Shard {
                     index,
-                    span_name: format!("shard{i}.exec"),
-                    docs_label: format!("{}..{}", docs.start, docs.end),
+                    span_name: shard_span_name(i as usize),
                     docs,
                 }
             })
@@ -469,6 +479,46 @@ mod tests {
                 let expr = fsi_query::compile(src).expect("compiles");
                 assert_eq!(sharded.query_expr(&expr), sharded.query(&terms), "{src}");
             }
+        }
+    }
+
+    #[test]
+    fn every_shard_keeps_the_bitmaps_of_its_dense_lists() {
+        // Regression: bitmap admission and the expression planner's
+        // universe used to be measured against absolute document ids, so
+        // shards far from document 0 dropped the bitmaps of lists that are
+        // just as dense there, and planned `0 AND 1` without the word
+        // sweep. Four shards of two chunks each.
+        let num_docs = 8u32 << 16;
+        let ctx = HashContext::new(10);
+        let postings: Vec<fsi_core::SortedSet> = [2u32, 3, 20, 5_000]
+            .iter()
+            .map(|&step| (0..num_docs).filter(|d| d % step == 0).collect())
+            .collect();
+        let engine = SearchEngine::from_postings(ctx, postings);
+        let reference = engine.executor(Strategy::Merge);
+        let sharded = ShardedEngine::build(&engine, 4, ExecMode::Planned(Planner::default()));
+        assert_eq!(sharded.query(&[0, 1]), reference.query(&[0, 1]));
+        for (i, shard) in sharded.shards.iter().enumerate() {
+            let ShardIndex::Planned(exec) = &shard.index else {
+                panic!("planned mode builds planned shards");
+            };
+            // Terms 0–2 are 50%, 33% and 5% dense in every shard; term 3
+            // (one document in 5 000) is too sparse for a bitmap anywhere.
+            for t in 0..3 {
+                assert!(exec.list(t).stats().chunks.is_some(), "shard {i} term {t}");
+            }
+            assert_eq!(exec.list(3).stats().chunks, None, "shard {i}");
+            assert_eq!(
+                exec.plan(&[0, 1]).kind,
+                fsi_index::PlanKind::BitmapAnd,
+                "shard {i}"
+            );
+            assert_eq!(
+                exec.universe(),
+                shard.docs.end - shard.docs.start,
+                "shard {i}"
+            );
         }
     }
 

@@ -130,7 +130,7 @@ fn expected_spans(input: Input, cache_on: bool, hit: bool) -> Vec<String> {
 
 fn check_trace(resp: &Response, input: Input, cache_on: bool, hit: bool, ctx: &str) {
     let trace = resp.trace.as_ref().expect("traced request carries a trace");
-    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_ref()).collect();
     assert_eq!(
         names,
         expected_spans(input, cache_on, hit),

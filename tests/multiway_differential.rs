@@ -160,3 +160,98 @@ fn planned_mode_matches_executor_on_zipf_query_stream() {
         }
     }
 }
+
+/// Terms for the probe-path cases: dense lists that carry chunk bitmaps,
+/// mid-density lists that stay flat, and sparse drivers. Chunks 0–2 are
+/// shared; chunk 6 belongs to the drivers alone and chunk 7 to term 3
+/// alone. Every term holds the chunk-edge values 65 535 and 65 536, and
+/// with `top` set the even terms also hold `u32::MAX`.
+fn probe_postings(rng: &mut StdRng, top: bool) -> Vec<SortedSet> {
+    const CORE: u32 = 3 << 16;
+    let mut terms: Vec<Vec<u32>> = Vec::new();
+    // 0–3: dense (~40%, ~25%, ~10%, ~10% + its own chunk 7).
+    for per_mille in [400u32, 250, 100, 100] {
+        terms.push(
+            (0..CORE)
+                .filter(|_| rng.gen_range(0..1000) < per_mille)
+                .collect(),
+        );
+    }
+    terms[3].extend((7u32 << 16..8 << 16).step_by(4));
+    // 4–5: ~1% dense, too sparse for a bitmap.
+    for _ in 0..2 {
+        terms.push((0..CORE).filter(|_| rng.gen_range(0..100) == 0).collect());
+    }
+    // 6–7: sparse drivers, with some ids in chunk 6, which no other term
+    // touches (right below term 3's chunk 7).
+    for n in [60usize, 300] {
+        let mut d: Vec<u32> = (0..n).map(|_| rng.gen_range(0..CORE)).collect();
+        d.extend((0..20).map(|_| rng.gen_range(6u32 << 16..7 << 16)));
+        terms.push(d);
+    }
+    for (i, t) in terms.iter_mut().enumerate() {
+        t.extend([65_535, 65_536]);
+        if top && i % 2 == 0 {
+            t.push(u32::MAX);
+        }
+    }
+    terms.into_iter().map(SortedSet::from_unsorted).collect()
+}
+
+#[test]
+fn bit_test_probes_match_the_reference_across_shard_counts() {
+    let mut rng = StdRng::seed_from_u64(0xB17);
+    // A sparse driver, then bitmapped (0–3) and flat (4–5) operands in
+    // every mix, k = 2..5.
+    let queries: Vec<Vec<usize>> = vec![
+        vec![6, 0],
+        vec![6, 4],
+        vec![7, 3],
+        vec![6, 0, 4],
+        vec![7, 1, 5],
+        vec![6, 0, 1, 4],
+        vec![7, 3, 2, 5],
+        vec![6, 0, 1, 2, 4],
+        vec![7, 0, 3, 4, 5],
+        vec![6, 7, 0, 4, 5],
+    ];
+    for top in [false, true] {
+        let postings = probe_postings(&mut rng, top);
+        let ctx = HashContext::new(0xB18);
+        let lists: Vec<PlannedList> = postings
+            .iter()
+            .map(|s| PlannedList::build(&ctx, s))
+            .collect();
+        for (t, l) in lists.iter().enumerate() {
+            assert_eq!(l.bitmap().is_some(), t < 4, "term {t} bitmap");
+        }
+        let planner = Planner::default();
+        let engine = SearchEngine::from_postings(ctx, postings.clone());
+        let sharded: Vec<(usize, ShardedEngine)> = [1usize, 2, 7]
+            .into_iter()
+            .map(|n| {
+                let e = ShardedEngine::build(&engine, n, ExecMode::Planned(Planner::default()));
+                (n, e)
+            })
+            .collect();
+        for q in &queries {
+            let slices: Vec<&[u32]> = q.iter().map(|&t| postings[t].as_slice()).collect();
+            let expect = reference_intersection(&slices);
+            // The probe path itself, forced on the unsharded lists.
+            let refs: Vec<&PlannedList> = q.iter().map(|&t| &lists[t]).collect();
+            let plan = MultiwayPlan {
+                kind: PlanKind::GallopProbe,
+                ..planner.plan_for_lists(&refs)
+            };
+            let mut out = Vec::new();
+            planner.execute(&plan, &refs, &mut out);
+            assert_eq!(out, expect, "forced probe top={top} {q:?}");
+            for (n, e) in &sharded {
+                assert_eq!(e.query(q), expect, "shards {n} top={top} {q:?}");
+            }
+        }
+        // The sparse-driver shapes do plan the probe unsharded.
+        let refs: Vec<&PlannedList> = [6usize, 0, 4].iter().map(|&t| &lists[t]).collect();
+        assert_eq!(planner.plan_for_lists(&refs).kind, PlanKind::GallopProbe);
+    }
+}

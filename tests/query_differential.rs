@@ -258,6 +258,69 @@ fn reordered_duplicate_queries_hit_one_cache_entry() {
     assert_eq!(stats.cache.len, 1);
 }
 
+#[test]
+fn and_not_bit_tests_match_naive_semantics_across_shards() {
+    // Terms 0, 1 and 6 carry chunk bitmaps (6 only in chunk 5, which no
+    // other term touches); 2 and 3 are ~1% dense and stay flat; 4 and 5
+    // are sparse bases. Every term holds the chunk edges 65 535 and
+    // 65 536; the even terms also hold u32::MAX.
+    const CORE: u32 = 3 << 16;
+    let mut rng = StdRng::seed_from_u64(0xA4D);
+    let mut terms: Vec<Vec<Elem>> = vec![
+        (0..CORE).filter(|_| rng.gen_range(0..10) < 3).collect(),
+        (0..CORE).filter(|_| rng.gen_range(0..20) < 3).collect(),
+        (0..CORE).filter(|_| rng.gen_range(0..100) == 0).collect(),
+        (0..CORE).filter(|_| rng.gen_range(0..100) == 0).collect(),
+        (0..300).map(|_| rng.gen_range(0..CORE)).collect(),
+        (0..3_000).map(|_| rng.gen_range(0..CORE)).collect(),
+        (5 << 16..6 << 16).step_by(3).collect(),
+    ];
+    terms[4].extend((0..20).map(|_| rng.gen_range(5 << 16..6 << 16)));
+    for (i, t) in terms.iter_mut().enumerate() {
+        t.extend([65_535, 65_536]);
+        if i % 2 == 0 {
+            t.push(u32::MAX);
+        }
+    }
+    let postings: Vec<SortedSet> = terms.into_iter().map(SortedSet::from_unsorted).collect();
+    let engine = SearchEngine::from_postings(HashContext::new(0xA4E), postings);
+    let slices = posting_slices(&engine);
+    let planned = engine.planned_executor(Planner::default());
+    for (t, bitmapped) in [(0, true), (1, true), (2, false), (3, false), (6, true)] {
+        assert_eq!(planned.list(t).bitmap().is_some(), bitmapped, "term {t}");
+    }
+    let planner = fsi_query::ExprPlanner::default();
+    for src in [
+        // Bitmapped term subtrahends.
+        "5 AND NOT 0",
+        "5 AND NOT 0 AND NOT 1",
+        "4 AND NOT 6",
+        "6 AND NOT 0",
+        // Flat term and non-term subtrahends.
+        "5 AND NOT (2 OR 3)",
+        "5 AND NOT (2 AND 5)",
+        "4 AND NOT (0 AND 1)",
+        // Both kinds in one difference, over term and non-term bases.
+        "5 AND NOT 0 AND NOT (1 AND 2)",
+        "5 AND NOT 1 AND NOT 2 AND NOT (3 OR 4)",
+        "(4 OR 5) AND NOT 0 AND NOT (2 AND 5)",
+        "0 AND NOT 1 AND NOT (2 OR 6)",
+    ] {
+        let norm = compile(src).expect("compiles");
+        let expect: Vec<Elem> = naive_eval(&slices, &norm).into_iter().collect();
+        for shards in [1usize, 2, 7] {
+            let sharded =
+                ShardedEngine::build(&engine, shards, ExecMode::Planned(Planner::default()));
+            assert_eq!(sharded.query_expr(&norm), expect, "shards={shards} {src}");
+        }
+        // EXPLAIN ANALYZE runs the same difference path.
+        let plan = planner.plan(&norm, &|t| planned.list(t).stats(), planned.universe());
+        let mut analyzed = Vec::new();
+        fsi_query::analyze_plan(&planned, &planner, &plan, &mut analyzed);
+        assert_eq!(analyzed, expect, "analyze {src}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Proptests: rewrite soundness and canonical-hash equivalence
 // ---------------------------------------------------------------------------
