@@ -15,7 +15,7 @@
 
 use fsi_bench::{min_time, HarnessArgs, Table};
 use fsi_core::{HashContext, KIntersect, SortedSet};
-use fsi_index::{PlannedList, Planner};
+use fsi_index::{MultiwayPlan, PlanKind, PlannedList, Planner};
 use fsi_kernels::{
     gallop_probe_into, heap_merge_into, pairwise_fold_into, AutoKernel, BitmapSet, ScalarMerge,
 };
@@ -221,13 +221,76 @@ fn main() {
         }
     }
 
+    let crossover = bit_test_crossover(&ctx, &planner, reps);
     let env = fsi_bench::env_json();
     let json = format!(
         "{{\n  \"bench\": \"multiway\",\n  \"reps\": {reps},\n  \"smoke\": {},\n  {env},\n  \
-         \"shapes\": [\n{}\n  ]\n}}\n",
+         \"shapes\": [\n{}\n  ],\n  {crossover}\n}}\n",
         args.smoke,
         shape_json.join(",\n")
     );
     args.write_output(&json);
     println!("\nwrote {}", args.out_path);
+}
+
+/// The shape where bit-test pricing moved the planner from HashProbe to
+/// GallopProbe: 1 000 sparse candidates against a list dense over two
+/// chunks. Times both plans on the same prepared lists, asserts the
+/// bit-test probe is at least as fast, and returns the JSON field.
+fn bit_test_crossover(ctx: &HashContext, planner: &Planner, reps: usize) -> String {
+    let mut rng = StdRng::seed_from_u64(fsi_bench::HARNESS_SEED);
+    let sparse: SortedSet = (0..1_000).map(|_| rng.gen_range(0..1u32 << 17)).collect();
+    let dense: SortedSet = (0..90_000).map(|_| rng.gen_range(0..1u32 << 17)).collect();
+    let planned = [
+        PlannedList::build(ctx, &sparse),
+        PlannedList::build(ctx, &dense),
+    ];
+    let lists: Vec<&PlannedList> = planned.iter().collect();
+    let probe = planner.plan_for_lists(&lists);
+    assert_eq!(probe.kind, PlanKind::GallopProbe, "crossover shape plan");
+    let hash = MultiwayPlan {
+        kind: PlanKind::HashProbe,
+        ..probe.clone()
+    };
+    let mut expect = Vec::new();
+    pairwise_fold_into(
+        &ScalarMerge,
+        &[sparse.as_slice(), dense.as_slice()],
+        &mut expect,
+    );
+    let plans = [&probe, &hash];
+    let mut out: Vec<u32> = Vec::new();
+    for plan in plans {
+        out.clear();
+        planner.execute(plan, &lists, &mut out);
+        assert_eq!(out, expect, "{:?} diverged at the crossover", plan.kind);
+    }
+    // ~1 µs per call: amortize each timing over 256 calls, and alternate
+    // the two plans rep by rep so a drift in machine speed hits both.
+    let mut best = [f64::MAX; 2];
+    for _ in 0..reps {
+        for (slot, plan) in best.iter_mut().zip(plans) {
+            let d = fsi_bench::time_once(|| {
+                for _ in 0..256 {
+                    out.clear();
+                    planner.execute(plan, &lists, &mut out);
+                }
+                out.len()
+            });
+            *slot = slot.min(d.as_secs_f64() * 1e6 / 256.0);
+        }
+    }
+    let [probe_us, hash_us] = best;
+    println!(
+        "\n== crossover [1000 sparse, 90000 over 2 chunks]: GallopProbe (bit test) {probe_us:.2} us, \
+         HashProbe {hash_us:.2} us =="
+    );
+    assert!(
+        probe_us <= hash_us,
+        "bit-test probe {probe_us:.2} us slower than hash probe {hash_us:.2} us"
+    );
+    format!(
+        "\"crossover\": {{\"shape\": \"sparse-1000-vs-2-chunk-dense\", \
+         \"gallop_probe_us\": {probe_us:.3}, \"hash_probe_us\": {hash_us:.3}}}"
+    )
 }

@@ -92,10 +92,6 @@ impl SearchEngine {
                 SortedSet::from_sorted_unchecked(s[lo..hi].to_vec())
             })
             .collect();
-        let docs = match &self.docs {
-            Some(outer) => docs.start.max(outer.start)..docs.end.min(outer.end),
-            None => docs,
-        };
         SearchEngine {
             ctx: self.ctx.clone(),
             postings,

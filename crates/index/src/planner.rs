@@ -747,10 +747,11 @@ mod tests {
     }
 
     #[test]
-    fn bit_test_probe_is_at_least_as_fast_as_hash_probe_at_the_moved_crossover() {
+    fn bit_test_probe_and_hash_probe_agree_at_the_moved_crossover() {
         // The `[sparse(1000), dense(80_000, 2)]` shape the cost model now
         // sends to GallopProbe: 1 000 sparse candidates tested against a
-        // two-chunk list's bitmap, versus probing its hash table.
+        // two-chunk list's bitmap. The speed comparison against probing
+        // the hash table is timed by the multiway bench, in release.
         let ctx = HashContext::new(48);
         let mut rng = StdRng::seed_from_u64(12);
         let sparse: SortedSet = (0..1_000).map(|_| rng.gen_range(0..1u32 << 17)).collect();
@@ -769,22 +770,11 @@ mod tests {
             ..probe.clone()
         };
         let expect = reference_intersection(&[sparse.as_slice(), dense.as_slice()]);
-        let mut best = [std::time::Duration::MAX; 2];
-        let mut out = Vec::with_capacity(sparse.len());
-        for _ in 0..200 {
-            for (slot, plan) in best.iter_mut().zip([&probe, &hash]) {
-                out.clear();
-                let t0 = std::time::Instant::now();
-                p.execute(plan, &lists, &mut out);
-                *slot = (*slot).min(t0.elapsed());
-                assert_eq!(out, expect, "{:?}", plan.kind);
-            }
+        for plan in [&probe, &hash] {
+            let mut out = Vec::new();
+            p.execute(plan, &lists, &mut out);
+            assert_eq!(out, expect, "{:?}", plan.kind);
         }
-        let [probe_t, hash_t] = best;
-        assert!(
-            probe_t <= hash_t,
-            "bit-test probe {probe_t:?} slower than hash probe {hash_t:?}"
-        );
     }
 
     #[test]

@@ -120,7 +120,10 @@ impl<'a> ProbeCursor<'a> {
 /// function never re-sorts) and appends the candidates every operand
 /// holds to `out`, ascending. A candidate is dropped at its first miss,
 /// and an operand with nothing left at or above a candidate ends the
-/// whole call.
+/// whole call. A lone bitmapped operand takes `BitmapSet::filter_into`,
+/// whose write side has no branch on the tested bit: at one sparse driver
+/// against a list dense over two chunks it runs about twice as fast as
+/// the general loop (the multiway bench's `crossover` row times it).
 pub fn probe_into(driver: &[Elem], rest: &[Probe<'_>], out: &mut Vec<Elem>) {
     match rest {
         [] => return out.extend_from_slice(driver),

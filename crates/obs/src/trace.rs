@@ -35,7 +35,6 @@ enum Typed {
     Label(&'static str),
     Text(String),
     Uint(u64),
-    Int(i64),
     Range(u64, u64),
     Hex(u64),
     Display(Arc<dyn fmt::Display + Send + Sync>),
@@ -55,7 +54,6 @@ impl AttrValue {
             Typed::Label(s) => s,
             Typed::Text(s) => s,
             Typed::Uint(v) => self.text.get_or_init(|| v.to_string()),
-            Typed::Int(v) => self.text.get_or_init(|| v.to_string()),
             Typed::Range(start, end) => self.text.get_or_init(|| format!("{start}..{end}")),
             Typed::Hex(v) => self.text.get_or_init(|| format!("{v:016x}")),
             Typed::Display(v) => self.text.get_or_init(|| v.to_string()),
@@ -122,17 +120,17 @@ impl From<Range<u64>> for AttrValue {
     }
 }
 
-macro_rules! int_attr {
-    ($variant:ident: $($t:ty),*) => {$(
-        impl From<$t> for AttrValue {
-            fn from(v: $t) -> Self {
-                AttrValue::new(Typed::$variant(v as _))
-            }
-        }
-    )*};
+impl From<u64> for AttrValue {
+    fn from(v: u64) -> Self {
+        AttrValue::new(Typed::Uint(v))
+    }
 }
-int_attr!(Uint: u32, u64, usize);
-int_attr!(Int: i32, i64);
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::new(Typed::Uint(v as u64))
+    }
+}
 
 /// One timed stage of a traced query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,7 +334,7 @@ mod tests {
         let mut tb = TraceBuilder::new("0 AND 1");
         let s = tb.start_span();
         std::hint::black_box((0..1000u64).sum::<u64>());
-        tb.end_span(s, "work").attr("rows", 42);
+        tb.end_span(s, "work").attr("rows", 42u64);
         let trace = tb.finish();
         assert_eq!(trace.spans.len(), 1);
         let span = trace.span("work").expect("span recorded");

@@ -1,6 +1,6 @@
 //! Cost-based expression planning: extends `fsi_index::Planner`'s
 //! [`OperandStats`] cost model beyond conjunctions to **OR** (k-way union)
-//! and **AND NOT** (gallop-based difference).
+//! and **AND NOT** (multi-subtrahend difference by bit tests and gallops).
 //!
 //! [`ExprPlanner::plan`] walks a canonical [`NormExpr`] bottom-up and
 //! produces an [`ExprPlan`] tree carrying, per node, the chosen physical
@@ -23,7 +23,7 @@
 //! | `AND` (all operands are terms) | the full [`fsi_index::Planner`] candidate table — one whole-list [`MultiwayPlan`], zero materialized intermediates |
 //! | `AND` (mixed operands) | materialize sub-results, then a k-way gallop probe ([`AndKind::SliceProbe`]) |
 //! | `OR` | heap k-way union (`union_unit · Σnᵢ · log₂ k`) vs chunked-bitmap `OR` (`union_bitmap_word_unit · Σ chunksᵢ · 1024`, admissible only when every operand is a term carrying a bitmap) |
-//! | `AND NOT` | galloping multi-subtrahend difference (`diff_unit · |base| · m`) — the subtrahends are bounded by the base, never materialized against the universe |
+//! | `AND NOT` | multi-subtrahend difference (`diff_unit · |base| · m`): a term subtrahend carrying a bitmap is tested by one bit per candidate, every other subtrahend gallops — the subtrahends are bounded by the base, never materialized against the universe |
 
 use crate::rewrite::NormExpr;
 use fsi_index::{MultiwayPlan, OperandStats, Planner};
@@ -132,8 +132,9 @@ pub struct ExprPlanner {
     /// (defaults to `and.bitmap_word_unit`: the OR rides the same SIMD
     /// word primitives as the AND, so the SIMD-tier tuning carries over).
     pub union_bitmap_word_unit: f64,
-    /// Cost per base element per subtrahend for the galloping difference
-    /// (mirrors `and.gallop_unit`: the same exponential probe).
+    /// Cost per base element per subtrahend for the difference (mirrors
+    /// `and.gallop_unit`: a subtrahend is galloped, or tested by one bit
+    /// when it is a term carrying a bitmap).
     pub diff_unit: f64,
 }
 
